@@ -1,19 +1,21 @@
 (** Allocation-free solver hot path on flat unboxed float arrays.
 
-    An arena pre-sizes every scratch buffer the Fig. 1 order DP, the
-    coarse metro-scale DP and the local search need, and reuses them
-    across solves: after a [prepare_*] call the [run_*] entry points
-    allocate zero minor-heap words ([Gc.minor_words] delta = 0), which
-    the GC-regression tests and bench e30 gate. All float state lives in
-    [floatarray]s and scalar results travel through arena slots because
-    ocamlopt boxes floats that cross non-inlined function boundaries.
+    This is the one production implementation of the fast solvers:
+    {!Greedy}, {!Bandwidth}, {!Single}, {!Yellow_pages} and every
+    fast {!Solver} spec run here. An arena pre-sizes every scratch
+    buffer the Fig. 1 order DP, the coarse metro-scale DP and the local
+    search need, and reuses them across solves: after a [prepare_*]
+    call the [run_*] entry points allocate zero minor-heap words
+    ([Gc.minor_words] delta = 0), which the GC-regression tests and
+    bench e30 gate. All float state lives in [floatarray]s and scalar
+    results travel through arena slots because ocamlopt boxes floats
+    that cross non-inlined function boundaries.
 
-    Every computation is an op-for-op mirror of the legacy list path
+    Every computation is an op-for-op mirror of the list reference
     ([Order_dp], [Strategy], [Local_search]), so results are
-    bit-identical; the legacy implementations stay alive as the
-    differential oracle (test_flat). DESIGN §13 documents the arena
-    layout, the prefix-product invariants and the delta-EP correctness
-    argument. *)
+    bit-identical; the reference stays in the library as the
+    independent differential oracle (test_flat). DESIGN §13 documents
+    the arena layout and the prefix-product invariants. *)
 
 type t
 
@@ -21,8 +23,14 @@ type t
 val create : unit -> t
 
 (** [domain_arena ()] is this domain's private arena (domain-local
-    storage): safe under the Runner's raced mode, serve lanes and sweep
-    shards, where each domain reuses its own scratch. *)
+    storage), the default scratch of every production solve.
+
+    Invariant: at most one solve runs on a domain at a time. The arena
+    is not reentrant and not safe to share between systhreads of one
+    domain; a solve started while another is mid-flight on the same
+    domain would corrupt both. The Runner's raced stages, serve worker
+    lanes and sweep shards each run on their own domain, and solver
+    results never alias arena scratch, so sequential reuse is safe. *)
 val domain_arena : unit -> t
 
 (** [prepare ?objective a inst] binds the arena to [inst] (rejecting
@@ -72,14 +80,6 @@ val run_page_all : t -> unit
     apply/evaluate/revert float drift, hence bit-identical. *)
 val run_hill_climb : ?cancel:Cancel.t -> t -> unit
 
-(** The delta-screened climb: candidates are scored via the incremental
-    EP delta in O(affected rounds · m) each instead of a full
-    re-evaluation; the accepted move is committed and resynced. Same
-    move set and gain threshold as {!run_hill_climb}; scores agree only
-    to rounding, so the climbed strategy may differ in ulp-tie cases —
-    use {!run_hill_climb} where bit-identity with legacy matters. *)
-val run_hill_climb_fast : ?cancel:Cancel.t -> t -> unit
-
 (** {1 Result accessors} *)
 
 (** Expected paging of the last [run_*]. *)
@@ -99,8 +99,8 @@ val current_order : t -> int array
 
 (** {1 Allocating conveniences}
 
-    One-call wrappers: prepare, run, and box the result in the legacy
-    record types (strategies are rebuilt exactly as the legacy solvers
+    One-call wrappers: prepare, run, and box the result in the reference
+    record types (strategies are rebuilt exactly as the reference solvers
     build them, preserving bit-identity end to end). *)
 
 val greedy :
@@ -122,44 +122,3 @@ val coarse :
 val hill_climb :
   ?objective:Objective.t -> ?cancel:Cancel.t -> t -> Instance.t ->
   Local_search.result
-
-val hill_climb_fast :
-  ?objective:Objective.t -> ?cancel:Cancel.t -> t -> Instance.t ->
-  Local_search.result
-
-(** {1 Incremental EP internals}
-
-    Exposed for the delta-vs-full property tests: load an arbitrary
-    strategy, predict or apply moves through the incremental delta, and
-    compare {!Ls.ep} (maintained) against {!Ls.ep_full} (full mirror
-    re-evaluation). *)
-module Ls : sig
-  (** Load a strategy as LS state and build the prefix/success
-      invariants. Validates like [Local_search.state_of_strategy]. *)
-  val load : ?objective:Objective.t -> t -> Instance.t -> Strategy.t -> unit
-
-  (** Rebuild the invariants from the masses (full resync). *)
-  val sync : t -> unit
-
-  (** The incrementally maintained EP. *)
-  val ep : t -> float
-
-  (** Full re-evaluation (mirror of [Local_search.ep]); does not touch
-      the maintained value. *)
-  val ep_full : t -> float
-
-  val rounds : t -> int
-  val round_of : t -> int -> int
-  val count : t -> int -> int
-
-  (** Predicted EP after the move, via the delta; state unchanged. *)
-  val predict_relocate : t -> cell:int -> target:int -> float
-
-  val predict_swap : t -> p:int -> q:int -> float
-
-  (** Commit the move, updating masses, prefixes, per-round successes
-      and the maintained EP incrementally (no resync). *)
-  val apply_relocate : t -> cell:int -> target:int -> unit
-
-  val apply_swap : t -> p:int -> q:int -> unit
-end

@@ -7,7 +7,8 @@
     O(c(m + dc)) time and O(m + dc) space. The ratio cannot be better
     than 320/317 (§4.3). For m = 2 = d the bound improves to 4/3 (§4.1). *)
 
-(** [solve ?objective ?cancel inst] runs the heuristic. Note the
+(** [solve ?objective ?cancel inst] runs the heuristic on this domain's
+    {!Flat} arena ({!Flat.domain_arena}). Note the
     approximation guarantee of Theorem 4.8 is proved for [Find_all];
     other objectives reuse the same machinery heuristically (§5). *)
 val solve :

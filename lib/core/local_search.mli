@@ -9,7 +9,12 @@
 
     Moves considered: relocate one cell to another (possibly new empty →
     no, groups stay non-empty) round, and swap two cells between rounds.
-    All randomness comes from the supplied generator. *)
+    All randomness comes from the supplied generator.
+
+    This list implementation is the independent reference: production
+    hill climbing runs on {!Flat.run_hill_climb}, which mirrors
+    {!hill_climb} move for move, and the differential tests compare the
+    two bit for bit. [anneal] and [solve] have no flat counterpart. *)
 
 type result = {
   strategy : Strategy.t;

@@ -7,7 +7,13 @@
     cell-weight order to obtain the e/(e−1)-approximation (§4.2.2); with
     m = 1 it is the optimal single-device algorithm of [11,16,17]; the §5
     remark that it works "for any predefined sequence" and for the
-    bandwidth-limited model is exposed through [order] and [max_group]. *)
+    bandwidth-limited model is exposed through [order] and [max_group].
+
+    This list implementation is the independent reference: production
+    solves run on {!Flat}, which mirrors [solve] and [solve_coarse] op
+    for op, and the differential tests compare the two bit for bit.
+    [cell_cost] and [solve_with_prefix_success] have no flat
+    counterpart. *)
 
 type result = {
   strategy : Strategy.t;

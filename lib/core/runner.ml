@@ -211,6 +211,66 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
                    outcome.Solver.strategy)
          with Invalid_argument _ -> Some infinity)
     in
+    (* One stage: the overdue check, a fresh cancel token, the span,
+       the solve, the exception → error taxonomy, the stage record and
+       its counters. Returns the stage and, on success, the outcome with
+       its robust score. [token] builds the stage's cancel token from
+       its effective deadline (none without a budget); [on_success]
+       runs as soon as the solve returns. *)
+    let run_stage ~raced ?arena ~token ~on_success spec =
+      let t0 = clock () in
+      let overdue = match deadline with Some d -> t0 >= d | None -> false in
+      let record status elapsed_ms expected_paging robust_ep =
+        let stage =
+          { spec; status; elapsed_ms; expected_paging; robust_ep; raced }
+        in
+        obs_record_stage stage;
+        stage
+      in
+      if overdue && not (always_fast spec) then
+        (record (Failed Timeout) 0.0 None None, None)
+      else begin
+        (* Fresh token per stage: a token fired during one stage must
+           not instantly cancel the next. Overdue fast stages get the
+           grace window; [Page_all] is the O(m·c) baseline whose
+           completion the budget+grace guarantee leans on, so it runs
+           untokened. *)
+        let cancel =
+          match spec with
+          | Solver.Page_all -> Cancel.never
+          | _ ->
+            token
+              (Option.map
+                 (fun d ->
+                   if overdue then clock () +. (grace_ms /. 1000.0) else d)
+                 deadline)
+        in
+        let result =
+          Obs.span ~parent:run_sp ("stage:" ^ Solver.spec_to_string spec)
+          @@ fun _sp ->
+          match Solver.solve ~objective ~cancel ~unguarded ?arena spec inst with
+          | outcome ->
+            on_success ();
+            if Cancel.cancelled cancel then Ok (Degraded, outcome)
+            else Ok (Completed, outcome)
+          | exception Cancel.Cancelled -> Error Timeout
+          | exception Invalid_argument msg -> Error (Inapplicable msg)
+          | exception exn -> Error (Internal (Printexc.to_string exn))
+        in
+        let elapsed_ms = (clock () -. t0) *. 1000.0 in
+        match result with
+        | Ok (status, outcome) ->
+          let rscore = robust_score outcome in
+          ( record status elapsed_ms
+              (Some outcome.Solver.expected_paging) rscore,
+            Some (outcome, rscore) )
+        | Error err -> (record (Failed err) elapsed_ms None None, None)
+      end
+    in
+    let sequential_token = function
+      | None -> Cancel.never
+      | Some d -> Cancel.deadline ~clock d
+    in
     let rec go best stages = function
       | [] ->
         (match best with
@@ -227,72 +287,27 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
            in
            finish ~stages ~winner:None ~failure:(Some failure))
       | spec :: rest ->
-        let t0 = clock () in
-        let overdue =
-          match deadline with Some d -> t0 >= d | None -> false
-        in
-        if overdue && not (always_fast spec) then
-          let stage =
-            { spec; status = Failed Timeout; elapsed_ms = 0.0;
-              expected_paging = None; robust_ep = None; raced = false }
-          in
-          (obs_record_stage stage;
-           go best (stage :: stages) rest)
-        else begin
-          (* Fresh token per stage: a token fired during one stage must
-             not instantly cancel the next. Overdue fast stages get the
-             grace window; [Page_all] is O(m·c) and runs untokened. *)
-          let cancel =
-            match (spec, deadline) with
-            | Solver.Page_all, _ | _, None -> Cancel.never
-            | _, Some d ->
-              let d = if overdue then clock () +. (grace_ms /. 1000.0) else d in
-              Cancel.deadline ~clock d
-          in
-          let result =
-            Obs.span ~parent:run_sp ("stage:" ^ Solver.spec_to_string spec)
-            @@ fun _sp ->
-            match Solver.solve ~objective ~cancel ~unguarded ?arena spec inst with
-            | outcome ->
-              if Cancel.cancelled cancel then Ok (Degraded, outcome)
-              else Ok (Completed, outcome)
-            | exception Cancel.Cancelled -> Error Timeout
-            | exception Invalid_argument msg -> Error (Inapplicable msg)
-            | exception exn -> Error (Internal (Printexc.to_string exn))
-          in
-          let elapsed_ms = (clock () -. t0) *. 1000.0 in
-          match result with
-          | Ok (status, outcome) ->
-            let rscore = robust_score outcome in
-            let stage =
-              { spec; status; elapsed_ms;
-                expected_paging = Some outcome.Solver.expected_paging;
-                robust_ep = rscore; raced = false }
-            in
-            obs_record_stage stage;
-            (match uncertainty with
-             | None ->
-               finish ~stages:(stage :: stages)
-                 ~winner:(Some (spec, outcome)) ~failure:None
-             | Some _ ->
-               (* Re-ranking mode: keep going and remember the stage
-                  with the best certified worst case (first wins ties —
-                  earlier chain entries are the stronger methods). *)
-               let r = Option.value rscore ~default:infinity in
-               let best' =
-                 match best with
-                 | Some (_, _, r') when r' <= r -> best
-                 | _ -> Some (spec, outcome, r)
-               in
-               go best' (stage :: stages) rest)
-          | Error err ->
-            let stage =
-              { spec; status = Failed err; elapsed_ms;
-                expected_paging = None; robust_ep = None; raced = false }
-            in
-            obs_record_stage stage;
-            go best (stage :: stages) rest
-        end
+        (match
+           run_stage ~raced:false ?arena ~token:sequential_token
+             ~on_success:ignore spec
+         with
+         | stage, Some (outcome, rscore) ->
+           (match uncertainty with
+            | None ->
+              finish ~stages:(stage :: stages)
+                ~winner:(Some (spec, outcome)) ~failure:None
+            | Some _ ->
+              (* Re-ranking mode: keep going and remember the stage
+                 with the best certified worst case (first wins ties —
+                 earlier chain entries are the stronger methods). *)
+              let r = Option.value rscore ~default:infinity in
+              let best' =
+                match best with
+                | Some (_, _, r') when r' <= r -> best
+                | _ -> Some (spec, outcome, r)
+              in
+              go best' (stage :: stages) rest)
+         | stage, None -> go best (stage :: stages) rest)
     in
     (* Raced execution: all stages of the chain run concurrently on the
        pool; in first-success mode the winner is the minimum-chain-index
@@ -315,73 +330,18 @@ let run ?(objective = Objective.Find_all) ?budget_ms ?(grace_ms = 100.0)
           done
       in
       let run_one i =
-        let spec = chain_arr.(i) in
-        let t0 = clock () in
-        let overdue =
-          match deadline with Some d -> t0 >= d | None -> false
+        let lose_probe () = Atomic.get lose.(i) in
+        (* The sequential token policy with the lose flag OR-ed into the
+           probe. *)
+        let token = function
+          | None -> Cancel.of_probe lose_probe
+          | Some d -> Cancel.of_probe (fun () -> lose_probe () || clock () >= d)
         in
-        if overdue && not (always_fast spec) then begin
-          let stage =
-            { spec; status = Failed Timeout; elapsed_ms = 0.0;
-              expected_paging = None; robust_ep = None; raced = true }
-          in
-          obs_record_stage stage;
-          (stage, None)
-        end
-        else begin
-          let lose_probe () = Atomic.get lose.(i) in
-          let cancel =
-            (* Same per-stage token policy as the sequential loop, with
-               the lose flag OR-ed into the probe. [Page_all] stays
-               untokened: it is the O(m·c) baseline whose completion the
-               budget+grace guarantee leans on. *)
-            match (spec, deadline) with
-            | Solver.Page_all, _ -> Cancel.never
-            | _, None -> Cancel.of_probe lose_probe
-            | _, Some d ->
-              let d =
-                if overdue then clock () +. (grace_ms /. 1000.0) else d
-              in
-              Cancel.of_probe (fun () -> lose_probe () || clock () >= d)
-          in
-          let result =
-            Obs.span ~parent:run_sp ("stage:" ^ Solver.spec_to_string spec)
-            @@ fun _sp ->
-            (* Raced stages run on pool domains: each uses its domain's
-               private arena so concurrent stages never share scratch. *)
-            let arena =
-              match arena with
-              | Some _ -> Some (Flat.domain_arena ())
-              | None -> None
-            in
-            match Solver.solve ~objective ~cancel ~unguarded ?arena spec inst with
-            | outcome ->
-              on_success i;
-              if Cancel.cancelled cancel then Ok (Degraded, outcome)
-              else Ok (Completed, outcome)
-            | exception Cancel.Cancelled -> Error Timeout
-            | exception Invalid_argument msg -> Error (Inapplicable msg)
-            | exception exn -> Error (Internal (Printexc.to_string exn))
-          in
-          let elapsed_ms = (clock () -. t0) *. 1000.0 in
-          match result with
-          | Ok (status, outcome) ->
-            let rscore = robust_score outcome in
-            let stage =
-              { spec; status; elapsed_ms;
-                expected_paging = Some outcome.Solver.expected_paging;
-                robust_ep = rscore; raced = true }
-            in
-            obs_record_stage stage;
-            (stage, Some (outcome, rscore))
-          | Error err ->
-            let stage =
-              { spec; status = Failed err; elapsed_ms;
-                expected_paging = None; robust_ep = None; raced = true }
-            in
-            obs_record_stage stage;
-            (stage, None)
-        end
+        (* Raced stages run on pool domains and leave the arena to
+           [Solver.solve]'s default, their own domain's arena, so
+           concurrent stages never share scratch. *)
+        run_stage ~raced:true ~token ~on_success:(fun () -> on_success i)
+          chain_arr.(i)
       in
       (* [run_all], not [map]: a stage crashing its domain (chaos seam,
          stack overflow in a solver) must fail only that stage. The

@@ -141,11 +141,10 @@ val chain_to_string : Solver.spec list -> string
     overridden together with [?pool], is called from several domains
     and must be thread-safe (the default {!Cancel.now} is).
 
-    [?arena] routes every stage with a flat mirror through the
-    allocation-free {!Flat} hot path (see {!Solver.solve}); raced
-    stages substitute their own domain's arena ({!Flat.domain_arena}),
-    so the supplied arena is only touched from the calling domain.
-    Results stay bit-identical either way. *)
+    [?arena] chooses the scratch arena of the sequential stages
+    (default {!Flat.domain_arena}, see {!Solver.solve}); raced stages
+    always use their own domain's arena, so the supplied arena is only
+    touched from the calling domain. *)
 val run :
   ?objective:Objective.t ->
   ?budget_ms:float ->

@@ -49,7 +49,7 @@ let spec_to_string = function
    the perturbation ball; ties go to the earlier (stronger) method. *)
 let robust_candidates = [ Local_search; Greedy; Page_all ]
 
-let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
+let rec run_spec ?objective ?cancel ?unguarded ~arena spec inst =
   (* Dispatch counter (DESIGN §9): one counter per solver spec, so the
      registry shows which algorithms actually ran — including the
      recursive candidates a [Robust] re-rank fans out to. *)
@@ -58,28 +58,19 @@ let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
   match spec with
   | Greedy ->
     let exact = inst.Instance.m = 1 || inst.Instance.d = 1 in
-    (match arena with
-     | Some a -> of_order_dp exact (Flat.greedy ?objective ?cancel a inst)
-     | None -> of_order_dp exact (Greedy.solve ?objective ?cancel inst))
+    of_order_dp exact (Flat.greedy ?objective ?cancel arena inst)
   | Page_all ->
-    let strategy = Strategy.page_all inst.Instance.c in
-    let expected_paging =
-      match arena with
-      (* One round never stops early: EP = c, bit-identical to the
-         Lemma 2.1 evaluation (whose sum has no terms to subtract). *)
-      | Some _ -> float_of_int inst.Instance.c
-      | None -> Strategy.expected_paging ?objective inst strategy
-    in
-    { strategy; expected_paging; exact = inst.Instance.d = 1 }
+    (* One round never stops early: EP = c, bit-identical to the
+       Lemma 2.1 evaluation (whose sum has no terms to subtract). *)
+    {
+      strategy = Strategy.page_all inst.Instance.c;
+      expected_paging = float_of_int inst.Instance.c;
+      exact = inst.Instance.d = 1;
+    }
   | Within_order order ->
-    (match arena with
-     | Some a ->
-       of_order_dp false (Flat.order_dp ?objective ?cancel a inst ~order)
-     | None -> of_order_dp false (Order_dp.solve ?objective ?cancel inst ~order))
+    of_order_dp false (Flat.order_dp ?objective ?cancel arena inst ~order)
   | Bandwidth_limited b ->
-    (match arena with
-     | Some a -> of_order_dp false (Flat.bandwidth ?objective ?cancel a inst ~b)
-     | None -> of_order_dp false (Bandwidth.solve ?objective ?cancel inst ~b))
+    of_order_dp false (Flat.bandwidth ?objective ?cancel arena inst ~b)
   | Exhaustive ->
     let guard = not (Option.value unguarded ~default:false) in
     of_optimal (Optimal.exhaustive ?objective ?cancel ~guard inst)
@@ -90,11 +81,7 @@ let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
      | Some r -> of_optimal r
      | None -> invalid_arg "Solver: instance too large for exact solving")
   | Local_search ->
-    let r =
-      match arena with
-      | Some a -> Flat.hill_climb ?objective ?cancel a inst
-      | None -> Local_search.hill_climb ?objective ?cancel inst
-    in
+    let r = Flat.hill_climb ?objective ?cancel arena inst in
     {
       strategy = r.Local_search.strategy;
       expected_paging = r.Local_search.expected_paging;
@@ -108,22 +95,41 @@ let rec solve ?objective ?cancel ?unguarded ?arena spec inst =
       exact = true;
     }
   | Robust { eps; tv } ->
-    let u = Uncertainty.uniform ~tv eps in
-    let best = ref None in
-    List.iter
-      (fun cand ->
-         Option.iter Cancel.check cancel;
-         match solve ?objective ?cancel ?unguarded ?arena cand inst with
-         | outcome ->
-           let r = Uncertainty.robust_ep ?objective u inst outcome.strategy in
-           (match !best with
-            | Some (_, r') when r' <= r -> ()
-            | _ -> best := Some (outcome, r))
-         | exception Invalid_argument _ -> ())
-      robust_candidates;
-    (match !best with
-     | Some (outcome, _) -> { outcome with exact = false }
-     | None -> invalid_arg "Solver: no robust candidate applies")
+    rerank ?objective ?cancel ~arena (Uncertainty.uniform ~tv eps) inst
+
+and rerank ?objective ?cancel ~arena ball inst =
+  let best = ref None in
+  List.iter
+    (fun cand ->
+       Option.iter Cancel.check cancel;
+       match run_spec ?objective ?cancel ~arena cand inst with
+       | outcome ->
+         let r = Uncertainty.robust_ep ?objective ball inst outcome.strategy in
+         (match !best with
+          | Some (_, r') when r' <= r -> ()
+          | _ -> best := Some (outcome, r))
+       | exception Invalid_argument _ -> ())
+    robust_candidates;
+  match !best with
+  | Some (outcome, _) -> { outcome with exact = false }
+  | None -> invalid_arg "Solver: no robust candidate applies"
+
+let validate_objective objective inst =
+  match objective with
+  | None -> ()
+  | Some o ->
+    (match Objective.validate o ~m:inst.Instance.m with
+     | Ok () -> ()
+     | Error msg -> invalid_arg msg)
+
+let solve ?objective ?cancel ?unguarded ?(arena = Flat.domain_arena ()) spec
+    inst =
+  validate_objective objective inst;
+  run_spec ?objective ?cancel ?unguarded ~arena spec inst
+
+let robust_rerank ?objective ball inst =
+  validate_objective objective inst;
+  rerank ?objective ~arena:(Flat.domain_arena ()) ball inst
 
 let spec_of_string s =
   match String.lowercase_ascii s with

@@ -1,5 +1,7 @@
 (** Uniform front-end over all strategy constructors; used by the CLI,
-    the simulator and the benchmark harness. *)
+    the simulator, the runner and the benchmark harness. Each spec has
+    one implementation: the fast ones run on the {!Flat} arena, and no
+    argument selects a different algorithm. *)
 
 type spec =
   | Greedy  (** the §4 heuristic (Theorem 4.8) *)
@@ -32,14 +34,15 @@ type outcome = {
     exact methods — only meaningful together with a deadline token, as
     the {!Runner} does.
 
-    [arena] routes [Greedy], [Page_all], [Within_order],
-    [Bandwidth_limited], [Local_search] (and the [Robust] re-rank over
-    them) through the allocation-free {!Flat} hot path, reusing the
-    arena's scratch across solves. Results are bit-identical to the
-    legacy list path (test_flat pins this); solvers without a flat
-    mirror ignore the arena.
-    @raise Invalid_argument when the method does not apply (e.g.
-    [Best_exact] on a huge instance, [Branch_and_bound] with d ≠ 2).
+    [Greedy], [Page_all], [Within_order], [Bandwidth_limited],
+    [Local_search] (and the [Robust] re-rank over them) run on the
+    allocation-free {!Flat} path. [arena] only chooses which scratch
+    arena they use (default {!Flat.domain_arena}); the other solvers
+    ignore it.
+    @raise Invalid_argument when [objective] fails {!Objective.validate}
+    for the instance (the message is the validation error), or when the
+    method does not apply (e.g. [Best_exact] on a huge instance,
+    [Branch_and_bound] with d ≠ 2).
     @raise Cancel.Cancelled when the token fires before a non-anytime
     method finishes ([Local_search] instead returns best-so-far). *)
 val solve :
@@ -50,6 +53,17 @@ val solve :
   spec ->
   Instance.t ->
   outcome
+
+(** [robust_rerank ?objective ball inst] solves every spec of
+    {!robust_candidates} and returns the outcome whose strategy has the
+    least worst-case EP over [ball] (ties go to the earlier candidate),
+    with [exact = false]. [Robust { eps; tv }] is this over
+    [Uncertainty.uniform ~tv eps]; callers with their own ball (per-row
+    radii, say) call it directly.
+    @raise Invalid_argument as {!solve} on a bad objective, or when no
+    candidate applies. *)
+val robust_rerank :
+  ?objective:Objective.t -> Uncertainty.t -> Instance.t -> outcome
 
 val spec_of_string : string -> (spec, string) result
 val spec_to_string : spec -> string

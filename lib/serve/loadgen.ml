@@ -1,4 +1,5 @@
 open Confcall
+open Wire
 
 type target = Tcp of int | Unix_path of string
 

@@ -1,4 +1,5 @@
 open Confcall
+open Wire
 
 type listen = Tcp of int | Unix_path of string
 
@@ -551,11 +552,7 @@ let execute_solve st job ~inst ~objective ~spec ~chain ~budget_ms ~ckey =
       Option.map (fun b -> Float.max (b -. queue_ms) 1.0) budget_ms
     in
     let report =
-      (* Worker lanes are domains: each reuses its own flat arena across
-         the jobs it serves, so steady-state solving stays off the minor
-         heap. *)
-      Runner.run ~objective ?budget_ms:eff_budget ~chain:eff_chain
-        ~arena:(Flat.domain_arena ()) inst
+      Runner.run ~objective ?budget_ms:eff_budget ~chain:eff_chain inst
     in
     match report.Runner.winner with
     | None ->

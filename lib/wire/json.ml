@@ -8,9 +8,9 @@ type t =
 
 (* ---------------- printer ---------------- *)
 
-(* Identical escaping and number formatting to the CLI's Json module:
-   the differential tests compare daemon output against CLI output byte
-   for byte. *)
+(* The one escaper and number formatter: the CLI's [--json] fragments
+   and the bench reports print strings and numbers through [to_string],
+   so daemon and CLI output compare byte for byte. *)
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter

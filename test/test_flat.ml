@@ -1,14 +1,14 @@
 (* Differential + GC-regression suite for the flat hot path (Flat).
 
-   The legacy list-based solvers are the oracle: every flat mirror must
-   return the bit-identical expected paging and strategy on random and
+   Every production solve runs on Flat, so the oracle is the list
+   reference ([Order_dp], [Local_search], and the test-side
+   [reference_solve] assembled from them): every flat path must return
+   the bit-identical expected paging and strategy on random and
    adversarial instances, across solver specs, objectives and domain
    counts. A rational-oracle pin re-checks the flat EPs against the
    exact arithmetic path to ≤ 1e-12·c, so the two float paths cannot
    drift together. The GC section asserts the zero-minor-words contract
-   of the run_* cores, and the property section drives the incremental
-   local-search EP delta through random accepted/rejected move
-   sequences against full re-evaluation. *)
+   of the run_* cores. *)
 
 open Confcall
 
@@ -63,6 +63,61 @@ let random_order rng c =
   done;
   order
 
+(* [Solver.solve] rebuilt from the list reference for every spec that
+   runs on Flat; the other specs have a single implementation, shared
+   by both sides. *)
+let rec reference_solve ~objective spec inst =
+  let of_dp exact (r : Order_dp.result) =
+    {
+      Solver.strategy = r.Order_dp.strategy;
+      expected_paging = r.Order_dp.expected_paging;
+      exact;
+    }
+  in
+  let weight_order = Instance.weight_order inst in
+  match spec with
+  | Solver.Greedy ->
+    of_dp
+      (inst.Instance.m = 1 || inst.Instance.d = 1)
+      (Order_dp.solve ~objective inst ~order:weight_order)
+  | Solver.Page_all ->
+    let strategy = Strategy.page_all inst.Instance.c in
+    {
+      Solver.strategy;
+      expected_paging = Strategy.expected_paging ~objective inst strategy;
+      exact = inst.Instance.d = 1;
+    }
+  | Solver.Within_order order ->
+    of_dp false (Order_dp.solve ~objective inst ~order)
+  | Solver.Bandwidth_limited b ->
+    of_dp false (Order_dp.solve ~objective ~max_group:b inst ~order:weight_order)
+  | Solver.Local_search ->
+    let r = Local_search.hill_climb ~objective inst in
+    {
+      Solver.strategy = r.Local_search.strategy;
+      expected_paging = r.Local_search.expected_paging;
+      exact = false;
+    }
+  | Solver.Robust { eps; tv } ->
+    let ball = Uncertainty.uniform ~tv eps in
+    let best = ref None in
+    List.iter
+      (fun cand ->
+        match reference_solve ~objective cand inst with
+        | o ->
+          let r = Uncertainty.robust_ep ~objective ball inst o.Solver.strategy in
+          (match !best with
+           | Some (_, r') when r' <= r -> ()
+           | _ -> best := Some (o, r))
+        | exception Invalid_argument _ -> ())
+      Solver.robust_candidates;
+    (match !best with
+     | Some (o, _) -> { o with Solver.exact = false }
+     | None -> invalid_arg "reference: no robust candidate applies")
+  | Solver.Exhaustive | Solver.Branch_and_bound | Solver.Best_exact
+  | Solver.Class_based ->
+    Solver.solve ~objective spec inst
+
 let same_outcome what trial (legacy : Solver.outcome) (flat : Solver.outcome) =
   if legacy.Solver.expected_paging <> flat.Solver.expected_paging then
     Alcotest.failf "%s (trial %d): EP differs: legacy %.17g flat %.17g" what
@@ -79,8 +134,8 @@ let same_outcome what trial (legacy : Solver.outcome) (flat : Solver.outcome) =
 
 (* ≥ 200 instances (random + adversarial), one shared arena rebound
    across all of them — so the cache-invalidation logic is exercised as
-   hard as the numerics. Every spec with a flat mirror must match the
-   legacy path bit for bit. *)
+   hard as the numerics — and the default domain arena beside it. Every
+   spec that runs on Flat must match the list reference bit for bit. *)
 let test_differential_specs () =
   let rng = Prob.Rng.create ~seed:0xF1A7 in
   let arena = Flat.create () in
@@ -89,7 +144,6 @@ let test_differential_specs () =
     let m, c, d = random_dims rng in
     let inst = random_instance rng ~kind:trial ~m ~c ~d in
     let objective = objective_for rng ~m trial in
-    let solve ?arena spec = Solver.solve ~objective ?arena spec inst in
     let specs =
       [
         Solver.Greedy;
@@ -103,9 +157,11 @@ let test_differential_specs () =
     in
     List.iter
       (fun spec ->
-        let legacy = solve spec in
-        let flat = solve ~arena spec in
-        same_outcome (Solver.spec_to_string spec) trial legacy flat)
+        let what = Solver.spec_to_string spec in
+        let legacy = reference_solve ~objective spec inst in
+        let flat ?arena () = Solver.solve ~objective ?arena spec inst in
+        same_outcome what trial legacy (flat ~arena ());
+        same_outcome what trial legacy (flat ()))
       specs
   done
 
@@ -201,6 +257,18 @@ let runner_winner_ep ?pool ?arena inst ~objective =
   | Some (spec, o) -> (spec, o.Solver.expected_paging, o.Solver.strategy)
   | None -> Alcotest.fail "runner produced no winner"
 
+(* Without a budget the runner's winner is the first chain stage that
+   applies; the reference walks the same chain on [reference_solve]. *)
+let reference_winner_ep inst ~objective =
+  let rec first = function
+    | [] -> Alcotest.fail "reference chain produced no winner"
+    | spec :: rest ->
+      (match reference_solve ~objective spec inst with
+       | o -> (spec, o.Solver.expected_paging, o.Solver.strategy)
+       | exception Invalid_argument _ -> first rest)
+  in
+  first Runner.default_chain
+
 let test_runner_differential_domains () =
   let rng = Prob.Rng.create ~seed:0x40FE in
   let arena = Flat.create () in
@@ -208,11 +276,16 @@ let test_runner_differential_domains () =
     let m, c, d = random_dims rng in
     let inst = random_instance rng ~kind:trial ~m ~c ~d in
     let objective = objective_for rng ~m trial in
-    let wl, el, sl = runner_winner_ep ?pool inst ~objective in
-    let wf, ef, sf = runner_winner_ep ?pool ~arena inst ~objective in
-    check bool_t "same winner spec" true (wl = wf);
-    check bool_t "same winner ep" true (el = ef);
-    check bool_t "same winner strategy" true (Strategy.equal sl sf)
+    let wl, el, sl = reference_winner_ep inst ~objective in
+    List.iter
+      (fun (wf, ef, sf) ->
+        check bool_t "same winner spec" true (wl = wf);
+        check bool_t "same winner ep" true (el = ef);
+        check bool_t "same winner strategy" true (Strategy.equal sl sf))
+      [
+        runner_winner_ep ?pool inst ~objective;
+        runner_winner_ep ?pool ~arena inst ~objective;
+      ]
   in
   for trial = 1 to 12 do
     compare_one trial
@@ -246,9 +319,6 @@ let test_zero_alloc_cores () =
       Testutil.assert_no_minor_alloc
         (Printf.sprintf "run_hill_climb[%s]" oname)
         (fun () -> Flat.run_hill_climb arena);
-      Testutil.assert_no_minor_alloc
-        (Printf.sprintf "run_hill_climb_fast[%s]" oname)
-        (fun () -> Flat.run_hill_climb_fast arena);
       Flat.prepare_coarse ~objective ~block:8 arena inst;
       Testutil.assert_no_minor_alloc
         (Printf.sprintf "run_coarse[%s]" oname)
@@ -280,113 +350,6 @@ let test_zero_alloc_after_rebind () =
         (Printf.sprintf "run_hill_climb after rebind %d" k)
         (fun () -> Flat.run_hill_climb arena))
     insts
-
-(* -------------------- property: incremental EP delta -------------- *)
-
-(* Drive the delta machinery through random move sequences. After every
-   rejected candidate (predict) the maintained EP must be untouched;
-   after every accepted move (apply, deliberately without resync) the
-   maintained EP must match a full re-evaluation to float-drift
-   tolerance, and must equal the prediction of that same move bit for
-   bit (predict and apply share the arithmetic). *)
-let test_delta_ep_property () =
-  let rng = Prob.Rng.create ~seed:0xDE17A in
-  let arena = Flat.create () in
-  for seq = 1 to 100 do
-    let m = 1 + Prob.Rng.int rng 4 in
-    let c = 3 + Prob.Rng.int rng 10 in
-    let d = 2 + Prob.Rng.int rng (c - 1) in
-    let inst = random_instance rng ~kind:seq ~m ~c ~d in
-    let objective = objective_for rng ~m seq in
-    (* random strategy with rounds ≤ d *)
-    let rounds = 2 + Prob.Rng.int rng (d - 1) in
-    let rounds = min rounds c in
-    let order = random_order rng c in
-    let sizes = Array.make rounds 1 in
-    for _ = 1 to c - rounds do
-      let r = Prob.Rng.int rng rounds in
-      sizes.(r) <- sizes.(r) + 1
-    done;
-    let strategy = Strategy.of_sizes ~order ~sizes in
-    Flat.Ls.load ~objective arena inst strategy;
-    let tol = 1e-9 *. float_of_int c in
-    let check_consistent what step =
-      let maintained = Flat.Ls.ep arena in
-      let full = Flat.Ls.ep_full arena in
-      if abs_float (maintained -. full) > tol then
-        Alcotest.failf
-          "seq %d step %d (%s): maintained EP %.17g vs full %.17g" seq step
-          what maintained full
-    in
-    check_consistent "load" 0;
-    for step = 1 to 20 do
-      let relocate = Prob.Rng.bool rng in
-      if relocate then begin
-        let cell = Prob.Rng.int rng c in
-        let src = Flat.Ls.round_of arena cell in
-        let target = Prob.Rng.int rng rounds in
-        if target <> src && Flat.Ls.count arena src > 1 then begin
-          let before = Flat.Ls.ep arena in
-          let predicted = Flat.Ls.predict_relocate arena ~cell ~target in
-          if Flat.Ls.ep arena <> before then
-            Alcotest.failf "seq %d step %d: predict_relocate moved the EP"
-              seq step;
-          check_consistent "rejected relocate" step;
-          if Prob.Rng.bool rng then begin
-            Flat.Ls.apply_relocate arena ~cell ~target;
-            if Flat.Ls.ep arena <> predicted then
-              Alcotest.failf
-                "seq %d step %d: applied relocate EP %.17g <> predicted %.17g"
-                seq step (Flat.Ls.ep arena) predicted;
-            check_consistent "accepted relocate" step
-          end
-        end
-      end
-      else begin
-        let p = Prob.Rng.int rng c and q = Prob.Rng.int rng c in
-        if p <> q && Flat.Ls.round_of arena p <> Flat.Ls.round_of arena q
-        then begin
-          let before = Flat.Ls.ep arena in
-          let predicted = Flat.Ls.predict_swap arena ~p ~q in
-          if Flat.Ls.ep arena <> before then
-            Alcotest.failf "seq %d step %d: predict_swap moved the EP" seq
-              step;
-          check_consistent "rejected swap" step;
-          if Prob.Rng.bool rng then begin
-            Flat.Ls.apply_swap arena ~p ~q;
-            if Flat.Ls.ep arena <> predicted then
-              Alcotest.failf
-                "seq %d step %d: applied swap EP %.17g <> predicted %.17g" seq
-                step (Flat.Ls.ep arena) predicted;
-            check_consistent "accepted swap" step
-          end
-        end
-      end
-    done
-  done
-
-(* The fast climb must land within float tolerance of the mirror climb
-   (same move set and threshold; only candidate scoring arithmetic
-   differs). *)
-let test_fast_climb_agrees () =
-  let rng = Prob.Rng.create ~seed:0xFA57 in
-  let arena = Flat.create () in
-  for trial = 1 to 40 do
-    let m, c, d = random_dims rng in
-    let inst = random_instance rng ~kind:trial ~m ~c ~d in
-    let objective = objective_for rng ~m trial in
-    let mirror = Flat.hill_climb ~objective arena inst in
-    let fast = Flat.hill_climb_fast ~objective arena inst in
-    let tol = 1e-9 *. float_of_int c in
-    if
-      abs_float
-        (mirror.Local_search.expected_paging
-        -. fast.Local_search.expected_paging)
-      > tol
-    then
-      Alcotest.failf "trial %d: mirror EP %.17g vs fast EP %.17g" trial
-        mirror.Local_search.expected_paging fast.Local_search.expected_paging
-  done
 
 (* -------------------- boundary -------------------- *)
 
@@ -432,13 +395,6 @@ let () =
             test_zero_alloc_cores;
           Alcotest.test_case "zero minor words after rebind" `Quick
             test_zero_alloc_after_rebind;
-        ] );
-      ( "delta-ep",
-        [
-          Alcotest.test_case "incremental = full on 100 move sequences" `Quick
-            test_delta_ep_property;
-          Alcotest.test_case "fast climb agrees with mirror" `Quick
-            test_fast_climb_agrees;
         ] );
       ( "boundary",
         [
