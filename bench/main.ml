@@ -24,10 +24,10 @@ module Signature = Confcall.Signature
 module Bandwidth = Confcall.Bandwidth
 module Miss = Confcall.Miss
 module Hardness = Confcall.Hardness
+module J = Wire.Json
 
-(* id, pass, detail, machine-readable metrics (values are JSON
-   fragments; see [json_out]). *)
-let results : (string * bool * string * (string * string) list) list ref =
+(* id, pass, detail, machine-readable metrics (see [json_out]). *)
+let results : (string * bool * string * (string * J.t) list) list ref =
   ref []
 
 let record ~id ~pass ?(metrics = []) detail =
@@ -38,29 +38,19 @@ let record ~id ~pass ?(metrics = []) detail =
 
 (* --json-out DIR: after the run, one BENCH_<id>.json per experiment
    with the shape-check verdict and any metrics the experiment
-   recorded. Values in [metrics] are already JSON fragments. *)
+   recorded. *)
 let json_out : string option ref = ref None
-
-let json_str s = Wire.Json.(to_string (Str s))
-let json_num x = Wire.Json.(to_string (Num x))
 
 let json_out_result dir (id, pass, detail, metrics) =
   let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" id) in
-  let fields =
-    [
-      "id", json_str id;
-      "pass", (if pass then "true" else "false");
-      "detail", json_str detail;
-    ]
-    @ metrics
-  in
   let body =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "%s: %s" (json_str k) v) fields)
-    ^ "}\n"
+    J.to_string
+      (J.Obj
+         ([ ("id", J.Str id); ("pass", J.Bool pass); ("detail", J.Str detail) ]
+         @ metrics))
   in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc body)
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (body ^ "\n"))
 
 let header ~id ~title ~claim =
   Printf.printf "=== %s: %s ===\n" (String.uppercase_ascii id) title;
@@ -1395,23 +1385,24 @@ let e24 () =
     ~pass:(bracket && monotone && resolves >= 1 && recovered_ok && stale_degrades)
     ~metrics:
       [
-        "nominal_ep", json_num nominal;
+        ("nominal_ep", J.Num nominal);
         ( "eps_sweep",
-          "["
-          ^ String.concat ", "
-              (List.map
-                 (fun (eps, lo, hi, worst) ->
-                   Printf.sprintf
-                     "{\"eps\": %s, \"lo\": %s, \"hi\": %s, \"worst\": %s}"
-                     (json_num eps) (json_num lo) (json_num hi)
-                     (json_num worst))
-                 rows)
-          ^ "]" );
-        "drift_realized", json_num drift_realized;
-        "drift_nominal", json_num drift_nominal;
-        "stale_realized", json_num stale_realized;
-        "stale_nominal", json_num stale_nominal;
-        "resolves", string_of_int resolves;
+          J.Arr
+            (List.map
+               (fun (eps, lo, hi, worst) ->
+                 J.Obj
+                   [
+                     ("eps", J.Num eps);
+                     ("lo", J.Num lo);
+                     ("hi", J.Num hi);
+                     ("worst", J.Num worst);
+                   ])
+               rows) );
+        ("drift_realized", J.Num drift_realized);
+        ("drift_nominal", J.Num drift_nominal);
+        ("stale_realized", J.Num stale_realized);
+        ("stale_nominal", J.Num stale_nominal);
+        ("resolves", J.int resolves);
       ]
     (Printf.sprintf
        "bounds bracket nominal and worst case: %b; widen monotonically: %b; \
@@ -1552,29 +1543,29 @@ let e25 () =
     "parallel == sequential: race %b, sweep (journal bytes) %b, sim %b\n"
     race_eq sweep_eq sim_eq;
   let leg_json runs =
-    "["
-    ^ String.concat ", "
-        (List.map
-           (fun (d, (_, w)) ->
-             Printf.sprintf
-               "{\"domains\": %d, \"wall_ms\": %s, \"speedup\": %s}" d
-               (json_num w)
-               (json_num (speedup runs d)))
-           runs)
-    ^ "]"
+    J.Arr
+      (List.map
+         (fun (d, (_, w)) ->
+           J.Obj
+             [
+               ("domains", J.int d);
+               ("wall_ms", J.Num w);
+               ("speedup", J.Num (speedup runs d));
+             ])
+         runs)
   in
   record ~id:"e25"
     ~pass:(race_eq && sweep_eq && sim_eq && speedup_ok)
     ~metrics:
       [
-        "cores", string_of_int cores;
-        "race", leg_json race_runs;
-        "sweep", leg_json sweep_runs;
-        "sim", leg_json sim_runs;
-        "race_equal", (if race_eq then "true" else "false");
-        "sweep_equal", (if sweep_eq then "true" else "false");
-        "sim_equal", (if sim_eq then "true" else "false");
-        "sweep_speedup_4", json_num sweep_s4;
+        ("cores", J.int cores);
+        ("race", leg_json race_runs);
+        ("sweep", leg_json sweep_runs);
+        ("sim", leg_json sim_runs);
+        ("race_equal", J.Bool race_eq);
+        ("sweep_equal", J.Bool sweep_eq);
+        ("sim_equal", J.Bool sim_eq);
+        ("sweep_speedup_4", J.Num sweep_s4);
       ]
     (Printf.sprintf
        "results identical across 1/2/4 domains: race %b, sweep %b, sim %b; \
@@ -1731,17 +1722,17 @@ let e26 () =
     ~pass:(overhead_ok && counters_equal && n_counters > 0 && n_hists > 0)
     ~metrics:
       ([
-         "counters_equal", (if counters_equal then "true" else "false");
-         "overhead_ok", (if overhead_ok then "true" else "false");
-         "deterministic_counters", string_of_int n_counters;
-         "deterministic_histograms", string_of_int n_hists;
+         ("counters_equal", J.Bool counters_equal);
+         ("overhead_ok", J.Bool overhead_ok);
+         ("deterministic_counters", J.int n_counters);
+         ("deterministic_histograms", J.int n_hists);
        ]
       @ List.concat_map
           (fun (name, dis, en) ->
             [
-              "overhead_" ^ name, json_num (en /. dis);
-              "wall_disabled_" ^ name ^ "_ms", json_num dis;
-              "wall_enabled_" ^ name ^ "_ms", json_num en;
+              ("overhead_" ^ name, J.Num (en /. dis));
+              ("wall_disabled_" ^ name ^ "_ms", J.Num dis);
+              ("wall_enabled_" ^ name ^ "_ms", J.Num en);
             ])
           oh)
     (Printf.sprintf
@@ -1792,7 +1783,7 @@ let e27 () =
     (mean_s *. 1000.0) budget_ms nominal domains;
   let cfg =
     {
-      (Serve.Server.default_config (Serve.Server.Tcp 0)) with
+      (Serve.Server.default_config (Wire.Endpoint.Tcp 0)) with
       domains;
       capacity;
       drain_grace_ms = 60_000.0;
@@ -1830,7 +1821,7 @@ let e27 () =
             timeout_s = 120.0;
           }
         in
-        let s = Serve.Loadgen.run (Serve.Loadgen.Tcp port) o in
+        let s = Serve.Loadgen.run (Wire.Endpoint.Tcp port) o in
         let p q = Serve.Loadgen.percentile s.Serve.Loadgen.accepted_ms q in
         let shed_p99 =
           Serve.Loadgen.percentile s.Serve.Loadgen.rejected_ms 99.0
@@ -1851,44 +1842,23 @@ let e27 () =
      both lanes and the whole queue with slow budgeted solves on one
      connection, then time rejections on a second, otherwise idle
      connection while the queue is pinned full. *)
-  let write_all fd s =
-    let n = String.length s in
-    let rec go off =
-      if off < n then go (off + Unix.write_substring fd s off (n - off))
-    in
-    go 0
-  in
-  let read_response fd buf =
-    let chunk = Bytes.create 4096 in
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    let rec go () =
-      let s = Buffer.contents buf in
-      match String.index_opt s '\n' with
-      | Some i ->
-        Buffer.clear buf;
-        Buffer.add_string buf (String.sub s (i + 1) (String.length s - i - 1));
-        Some (String.sub s 0 i)
-      | None ->
-        if Unix.gettimeofday () >= deadline then None
-        else begin
-          (match Unix.select [ fd ] [] [] 0.1 with
-           | [], _, _ -> ()
-           | _ -> (
-             match Unix.read fd chunk 0 4096 with
-             | 0 -> Buffer.add_char buf '\n' (* EOF: fail via empty line *)
-             | r -> Buffer.add_subbytes buf chunk 0 r));
-          go ()
-        end
-    in
-    go ()
-  in
-  let connect () =
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    fd
-  in
+  let connect () = Wire.Endpoint.connect (Wire.Endpoint.Tcp port) in
   let slow_inst =
     Instance.to_string (Instance.random_zipf rng ~s:1.1 ~m:3 ~c:18 ~d:3)
+  in
+  let send fd ~id ~chain ~budget_ms =
+    Wire.Lines.write_all fd
+      (J.to_string
+         (J.Obj
+            [
+              ("id", J.Str id);
+              ("op", J.Str "solve");
+              ("instance", J.Str slow_inst);
+              ("chain", J.Str chain);
+              ("budget_ms", J.int budget_ms);
+              ("cache", J.Bool false);
+            ])
+      ^ "\n")
   in
   (* The fillers run [exhaustive], which burns its whole budget on a
      c = 18 instance, so the first [domains] jobs pin the lanes for
@@ -1899,34 +1869,28 @@ let e27 () =
   let filler = connect () and prober = connect () in
   let fill_n = domains + capacity + 4 in
   for i = 1 to fill_n do
-    write_all filler
-      (Printf.sprintf
-         "{\"id\": \"fill%d\", \"op\": \"solve\", \"instance\": %s, \
-          \"chain\": \"exhaustive\", \"budget_ms\": 250, \"cache\": false}\n"
-         i (json_str slow_inst))
+    send filler ~id:(Printf.sprintf "fill%d" i) ~chain:"exhaustive"
+      ~budget_ms:250
   done;
   (* let the filler connection's thread admit the batch and the lanes
      dequeue their first jobs, then top the queue back up to capacity —
      otherwise depth sits at capacity - lanes and probes are admitted *)
   Unix.sleepf 0.05;
   for i = 1 to domains + 2 do
-    write_all filler
-      (Printf.sprintf
-         "{\"id\": \"top%d\", \"op\": \"solve\", \"instance\": %s, \
-          \"chain\": \"exhaustive\", \"budget_ms\": 250, \"cache\": false}\n"
-         i (json_str slow_inst))
+    send filler ~id:(Printf.sprintf "top%d" i) ~chain:"exhaustive"
+      ~budget_ms:250
   done;
   Unix.sleepf 0.02;
-  let probe_buf = Buffer.create 1024 in
+  let probe_reader = Wire.Lines.reader prober in
   let probe_rtts = ref [] and probe_rejected = ref 0 in
   for i = 1 to 10 do
     let t = Unix.gettimeofday () in
-    write_all prober
-      (Printf.sprintf
-         "{\"id\": \"probe%d\", \"op\": \"solve\", \"instance\": %s, \
-          \"chain\": \"default\", \"budget_ms\": 20, \"cache\": false}\n"
-         i (json_str slow_inst));
-    match read_response prober probe_buf with
+    send prober ~id:(Printf.sprintf "probe%d" i) ~chain:"default"
+      ~budget_ms:20;
+    match
+      Wire.Lines.read_line ~deadline:(Unix.gettimeofday () +. 10.0)
+        probe_reader
+    with
     | None -> ()
     | Some line ->
       probe_rtts := ((Unix.gettimeofday () -. t) *. 1000.0) :: !probe_rtts;
@@ -1977,48 +1941,38 @@ let e27 () =
       results
   in
   let leg_json (mult, s, p50, p99, p999, shed_p99) =
-    let ladder =
-      "{"
-      ^ String.concat ", "
-          (List.map
-             (fun (k, v) -> Printf.sprintf "%s: %d" (json_str k) v)
-             s.Serve.Loadgen.ladder)
-      ^ "}"
-    in
-    "{"
-    ^ String.concat ", "
-        [
-          Printf.sprintf "\"load\": %s" (json_num mult);
-          Printf.sprintf "\"sent\": %d" s.Serve.Loadgen.sent;
-          Printf.sprintf "\"ok\": %d" s.Serve.Loadgen.ok;
-          Printf.sprintf "\"degraded\": %d" s.Serve.Loadgen.degraded;
-          Printf.sprintf "\"rejected\": %d" s.Serve.Loadgen.rejected;
-          Printf.sprintf "\"errors\": %d" s.Serve.Loadgen.errors;
-          Printf.sprintf "\"unanswered\": %d" s.Serve.Loadgen.unanswered;
-          Printf.sprintf "\"throughput\": %s"
-            (json_num s.Serve.Loadgen.throughput);
-          Printf.sprintf "\"p50_ms\": %s" (json_num p50);
-          Printf.sprintf "\"p99_ms\": %s" (json_num p99);
-          Printf.sprintf "\"p999_ms\": %s" (json_num p999);
-          Printf.sprintf "\"shed_p99_ms\": %s" (json_num shed_p99);
-          Printf.sprintf "\"ladder\": %s" ladder;
-        ]
-    ^ "}"
+    J.Obj
+      [
+        ("load", J.Num mult);
+        ("sent", J.int s.Serve.Loadgen.sent);
+        ("ok", J.int s.Serve.Loadgen.ok);
+        ("degraded", J.int s.Serve.Loadgen.degraded);
+        ("rejected", J.int s.Serve.Loadgen.rejected);
+        ("errors", J.int s.Serve.Loadgen.errors);
+        ("unanswered", J.int s.Serve.Loadgen.unanswered);
+        ("throughput", J.Num s.Serve.Loadgen.throughput);
+        ("p50_ms", J.Num p50);
+        ("p99_ms", J.Num p99);
+        ("p999_ms", J.Num p999);
+        ("shed_p99_ms", J.Num shed_p99);
+        ( "ladder",
+          J.Obj (List.map (fun (k, v) -> (k, J.int v)) s.Serve.Loadgen.ladder)
+        );
+      ]
   in
   record ~id:"e27"
     ~pass:(all_terminal && clean_at_half && shed_fast && p99_bounded && drained)
     ~metrics:
       [
-        "nominal_rate", json_num nominal;
-        "budget_ms", json_num budget_ms;
-        "domains", string_of_int domains;
-        "capacity", string_of_int capacity;
-        "drained", (if drained then "true" else "false");
-        "shed_probe_answered", string_of_int probe_answered;
-        "shed_probe_rejected", string_of_int !probe_rejected;
-        "shed_probe_max_ms", json_num probe_max_ms;
-        ( "loads",
-          "[" ^ String.concat ", " (List.map leg_json results) ^ "]" );
+        ("nominal_rate", J.Num nominal);
+        ("budget_ms", J.Num budget_ms);
+        ("domains", J.int domains);
+        ("capacity", J.int capacity);
+        ("drained", J.Bool drained);
+        ("shed_probe_answered", J.int probe_answered);
+        ("shed_probe_rejected", J.int !probe_rejected);
+        ("shed_probe_max_ms", J.Num probe_max_ms);
+        ("loads", J.Arr (List.map leg_json results));
       ]
     (Printf.sprintf
        "all terminal: %b; clean at 0.5x: %b; pinned-queue shed < 10 ms: %b \
@@ -2071,7 +2025,7 @@ let e28 () =
     Sys.remove cache_path;
     let cfg =
       {
-        (Serve.Server.default_config (Serve.Server.Tcp 0)) with
+        (Serve.Server.default_config (Wire.Endpoint.Tcp 0)) with
         domains;
         capacity;
         cache_path = Some cache_path;
@@ -2101,7 +2055,7 @@ let e28 () =
         timeout_s = 120.0;
       }
     in
-    let s = Serve.Loadgen.run (Serve.Loadgen.Tcp port) o in
+    let s = Serve.Loadgen.run (Wire.Endpoint.Tcp port) o in
     let drained = Serve.Server.stop h in
     let respawns = Exec.Pool.total_respawns () - respawns0 in
     let fired = Faultpoint.fired_all () in
@@ -2162,24 +2116,18 @@ let e28 () =
       (all_terminal && base_drained && fault_drained && healed && p99_bounded)
     ~metrics:
       [
-        "nominal_rate", json_num nominal;
-        "requests", string_of_int requests;
-        "p99_base_ms", json_num p99_base;
-        "p99_fault_ms", json_num p99_fault;
-        "p99_gate_ms", json_num p99_gate;
-        "lane_crashes", string_of_int lane_crashes;
-        "respawns", string_of_int respawns;
-        ( "faults_fired",
-          "{"
-          ^ String.concat ", "
-              (List.map
-                 (fun (pt, n) -> Printf.sprintf "%s: %d" (json_str pt) n)
-                 fired)
-          ^ "}" );
-        "unanswered_base", string_of_int base_s.Serve.Loadgen.unanswered;
-        "unanswered_fault", string_of_int fault_s.Serve.Loadgen.unanswered;
-        "drained_base", (if base_drained then "true" else "false");
-        "drained_fault", (if fault_drained then "true" else "false");
+        ("nominal_rate", J.Num nominal);
+        ("requests", J.int requests);
+        ("p99_base_ms", J.Num p99_base);
+        ("p99_fault_ms", J.Num p99_fault);
+        ("p99_gate_ms", J.Num p99_gate);
+        ("lane_crashes", J.int lane_crashes);
+        ("respawns", J.int respawns);
+        ("faults_fired", J.Obj (List.map (fun (pt, n) -> (pt, J.int n)) fired));
+        ("unanswered_base", J.int base_s.Serve.Loadgen.unanswered);
+        ("unanswered_fault", J.int fault_s.Serve.Loadgen.unanswered);
+        ("drained_base", J.Bool base_drained);
+        ("drained_fault", J.Bool fault_drained);
       ]
     (Printf.sprintf
        "all terminal: %b; drained: %b/%b; lane crashes %d healed by %d \
@@ -2260,14 +2208,13 @@ let e29 () =
   let wait_ready sock =
     let deadline = Unix.gettimeofday () +. 10.0 in
     let rec go () =
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       let up =
-        try
-          Unix.connect fd (Unix.ADDR_UNIX sock);
+        match Wire.Endpoint.connect (Wire.Endpoint.Unix_path sock) with
+        | fd ->
+          Unix.close fd;
           true
-        with Unix.Unix_error _ -> false
+        | exception Unix.Unix_error _ -> false
       in
-      Unix.close fd;
       if up then ()
       else if Unix.gettimeofday () >= deadline then
         failwith ("e29: daemon not ready: " ^ sock)
@@ -2343,7 +2290,7 @@ let e29 () =
     in
     let s =
       Serve.Loadgen.run_multi
-        [ Serve.Loadgen.Unix_path sock_a; Serve.Loadgen.Unix_path sock_b ]
+        [ Wire.Endpoint.Unix_path sock_a; Wire.Endpoint.Unix_path sock_b ]
         o
     in
     Option.iter Thread.join killer;
@@ -2404,20 +2351,20 @@ let e29 () =
     ~pass:(terminal_ok && no_dups && failover_seen && p99_bounded)
     ~metrics:
       [
-        "pair_nominal_rate", json_num nominal;
-        "rate", json_num rate;
-        "requests", string_of_int requests;
-        "terminal_rate_base", json_num base_rate;
-        "terminal_rate_kill", json_num kill_rate;
-        "terminal_rate_hedge", json_num hedge_rate;
-        "p99_base_ms", json_num p99_base;
-        "p99_kill_ms", json_num p99_kill;
-        "p99_hedge_ms", json_num p99_hedge;
-        "p99_gate_ms", json_num p99_gate;
-        "kill_retried", string_of_int kill_s.Serve.Loadgen.retried;
-        "kill_failed_over", string_of_int kill_s.Serve.Loadgen.failed_over;
-        "hedge_wins", string_of_int hedge_s.Serve.Loadgen.hedge_wins;
-        "duplicate_executions", (if no_dups then "0" else "1");
+        ("pair_nominal_rate", J.Num nominal);
+        ("rate", J.Num rate);
+        ("requests", J.int requests);
+        ("terminal_rate_base", J.Num base_rate);
+        ("terminal_rate_kill", J.Num kill_rate);
+        ("terminal_rate_hedge", J.Num hedge_rate);
+        ("p99_base_ms", J.Num p99_base);
+        ("p99_kill_ms", J.Num p99_kill);
+        ("p99_hedge_ms", J.Num p99_hedge);
+        ("p99_gate_ms", J.Num p99_gate);
+        ("kill_retried", J.int kill_s.Serve.Loadgen.retried);
+        ("kill_failed_over", J.int kill_s.Serve.Loadgen.failed_over);
+        ("hedge_wins", J.int hedge_s.Serve.Loadgen.hedge_wins);
+        ("duplicate_executions", J.int (if no_dups then 0 else 1));
       ]
     (Printf.sprintf
        "terminal >= 99%%: %b (%.3f/%.3f/%.3f); duplicate executions: %s; \
@@ -2523,14 +2470,14 @@ let e30 () =
     ~pass:(!small_equal && solve_fast && minor_words = 0 && equal)
     ~metrics:
       [
-        "cells_per_sec", json_num cells_per_sec;
-        "minor_words_per_solve", string_of_int minor_words;
-        "metro_solve_ms", json_num steady_ms;
-        "prepare_ms", json_num prepare_ms;
-        "legacy_solve_ms", json_num legacy_ms;
-        "metro_ep", json_num flat_ep;
-        "flat_equal_legacy", (if equal then "true" else "false");
-        "small_diff_equal", (if !small_equal then "true" else "false");
+        ("cells_per_sec", J.Num cells_per_sec);
+        ("minor_words_per_solve", J.int minor_words);
+        ("metro_solve_ms", J.Num steady_ms);
+        ("prepare_ms", J.Num prepare_ms);
+        ("legacy_solve_ms", J.Num legacy_ms);
+        ("metro_ep", J.Num flat_ep);
+        ("flat_equal_legacy", J.Bool equal);
+        ("small_diff_equal", J.Bool !small_equal);
       ]
     (Printf.sprintf
        "metro solve %.3f ms < 100 ms: %b; minor words/solve = %d (want 0); \
@@ -2726,26 +2673,26 @@ let e31 () =
     ~pass:(degrades && pareto_faster && mitigates && recovers)
     ~metrics:
       [
-        "exp_fresh", json_num exp_fresh;
-        "pareto_fresh", json_num pareto_fresh;
-        "exp_aged_sum", json_num exp_aged_sum;
-        "pareto_aged_sum", json_num pareto_aged_sum;
-        "exp_aged_nom_max", json_num (nominal (at "exp" kmax) aged);
-        "pareto_aged_nom_max", json_num (nominal (at "pareto" kmax) aged);
-        "exp_deg_max", json_num (deg "exp" kmax);
-        "pareto_deg_max", json_num (deg "pareto" kmax);
-        "exp_stale_max", json_num (realized (at "exp" kmax) sel);
-        "exp_aged_max", json_num (realized (at "exp" kmax) aged);
-        "exp_robust_max", json_num (realized (at "exp" kmax) robust);
-        "pareto_stale_max", json_num (realized (at "pareto" kmax) sel);
-        "pareto_aged_max", json_num (realized (at "pareto" kmax) aged);
-        "pareto_robust_max", json_num (realized (at "pareto" kmax) robust);
-        "exp_reprofiled", json_num rec_exp;
-        "pareto_reprofiled", json_num rec_pareto;
-        "degrades", (if degrades then "true" else "false");
-        "pareto_faster", (if pareto_faster then "true" else "false");
-        "mitigates", (if mitigates then "true" else "false");
-        "recovers", (if recovers then "true" else "false");
+        ("exp_fresh", J.Num exp_fresh);
+        ("pareto_fresh", J.Num pareto_fresh);
+        ("exp_aged_sum", J.Num exp_aged_sum);
+        ("pareto_aged_sum", J.Num pareto_aged_sum);
+        ("exp_aged_nom_max", J.Num (nominal (at "exp" kmax) aged));
+        ("pareto_aged_nom_max", J.Num (nominal (at "pareto" kmax) aged));
+        ("exp_deg_max", J.Num (deg "exp" kmax));
+        ("pareto_deg_max", J.Num (deg "pareto" kmax));
+        ("exp_stale_max", J.Num (realized (at "exp" kmax) sel));
+        ("exp_aged_max", J.Num (realized (at "exp" kmax) aged));
+        ("exp_robust_max", J.Num (realized (at "exp" kmax) robust));
+        ("pareto_stale_max", J.Num (realized (at "pareto" kmax) sel));
+        ("pareto_aged_max", J.Num (realized (at "pareto" kmax) aged));
+        ("pareto_robust_max", J.Num (realized (at "pareto" kmax) robust));
+        ("exp_reprofiled", J.Num rec_exp);
+        ("pareto_reprofiled", J.Num rec_pareto);
+        ("degrades", J.Bool degrades);
+        ("pareto_faster", J.Bool pareto_faster);
+        ("mitigates", J.Bool mitigates);
+        ("recovers", J.Bool recovers);
       ]
     (Printf.sprintf
        "staleness degrades realized cost monotonically: %b; heavy tail \

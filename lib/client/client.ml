@@ -26,6 +26,10 @@
      forgotten, its eventual response discarded — and the server-side
      idempotency table makes the duplicate submission harmless.
 
+   How an endpoint is named and reached, and how lines are framed on
+   the socket, is [Wire]'s business ([Wire.Endpoint], [Wire.Lines]):
+   the daemon, the load generator and this client share it.
+
    Thread-safe: any number of threads may [call] concurrently. *)
 
 module Json = Wire.Json
@@ -33,57 +37,10 @@ module Proto = Wire.Proto
 module Retry = Retry
 module Health = Health
 
-type endpoint = Tcp of int | Unix_path of string
-
-let endpoint_to_string = function
-  | Tcp p -> Printf.sprintf "tcp:%d" p
-  | Unix_path p -> "unix:" ^ p
-
-(* "8080" and "tcp:8080" are loopback TCP; "unix:/p" and any other
-   string are Unix-socket paths. *)
-let endpoint_of_string s =
-  let s = String.trim s in
-  let prefixed p =
-    let k = String.length p in
-    if String.length s > k && String.sub s 0 k = p then
-      Some (String.sub s k (String.length s - k))
-    else None
-  in
-  match prefixed "tcp:" with
-  | Some rest -> (
-    match int_of_string_opt rest with
-    | Some p when p >= 0 && p <= 65535 -> Ok (Tcp p)
-    | _ -> Error (Printf.sprintf "endpoint %S: bad tcp port" s))
-  | None -> (
-    match prefixed "unix:" with
-    | Some rest ->
-      if rest = "" then Error "endpoint \"unix:\" has no path"
-      else Ok (Unix_path rest)
-    | None -> (
-      match int_of_string_opt s with
-      | Some p when p >= 0 && p <= 65535 -> Ok (Tcp p)
-      | Some _ -> Error (Printf.sprintf "endpoint %S: port out of range" s)
-      | None -> if s = "" then Error "empty endpoint" else Ok (Unix_path s)))
-
-let endpoints_of_string s =
-  let parts =
-    List.filter (fun x -> String.trim x <> "") (String.split_on_char ',' s)
-  in
-  if parts = [] then Error "no endpoints given"
-  else
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: tl -> (
-        match endpoint_of_string p with
-        | Ok e -> go (e :: acc) tl
-        | Error _ as e -> e)
-    in
-    go [] parts
-
 (* ---------------- configuration ---------------- *)
 
 type config = {
-  endpoints : endpoint list;
+  endpoints : Wire.Endpoint.t list;
   retry : Retry.policy;
   budget_ms : float option;  (** end-to-end budget per [call] *)
   hedge_after_ms : float option;
@@ -116,7 +73,7 @@ type conn = {
 }
 
 type ep = {
-  endpoint : endpoint;
+  endpoint : Wire.Endpoint.t;
   emutex : Mutex.t;  (* guards [conn] and [health] *)
   mutable conn : conn option;
   health : Health.t;
@@ -231,44 +188,17 @@ let route c line =
           if Obs.on () then Obs.count "client_orphan_responses"))
 
 let reader c =
-  let chunk = Bytes.create 65536 in
-  let acc = Buffer.create 4096 in
+  let r = Wire.Lines.reader c.fd in
   let rec pump () =
-    match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-      for i = 0 to n - 1 do
-        let ch = Bytes.get chunk i in
-        if ch = '\n' then begin
-          route c (Buffer.contents acc);
-          Buffer.clear acc
-        end
-        else Buffer.add_char acc ch
-      done;
+    match Wire.Lines.read_line r with
+    | Some line ->
+      route c line;
       pump ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
-    | exception Unix.Unix_error _ -> ()
-    | exception Sys_error _ -> ()
+    | None -> ()
   in
   pump ();
   conn_kill c "connection closed by server";
   try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let connect_endpoint = function
-  | Tcp port ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-  | Unix_path path ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX path)
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
 
 (* Lazy (re)connect: a previous failure leaves [conn] dead and the next
    caller replaces it. Loopback/Unix connects resolve immediately
@@ -280,7 +210,7 @@ let ensure_conn ep =
     Mutex.unlock ep.emutex;
     Ok c
   | _ -> (
-    match connect_endpoint ep.endpoint with
+    match Wire.Endpoint.connect ep.endpoint with
     | fd ->
       let c =
         {
@@ -300,18 +230,8 @@ let ensure_conn ep =
       Mutex.unlock ep.emutex;
       Error
         (Printf.sprintf "connect %s: %s"
-           (endpoint_to_string ep.endpoint)
+           (Wire.Endpoint.to_string ep.endpoint)
            (Unix.error_message e)))
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
 
 let note_fail ep =
   Mutex.lock ep.emutex;
@@ -359,7 +279,7 @@ let issue t ep w tag ~issued ~fields ~request_id =
     else begin
       issued := (c, id) :: !issued;
       Mutex.lock c.wrmutex;
-      (match write_all c.fd line with
+      (match Wire.Lines.write_all c.fd line with
        | () -> Mutex.unlock c.wrmutex
        | exception (Unix.Unix_error _ | Sys_error _) ->
          Mutex.unlock c.wrmutex;
@@ -398,7 +318,7 @@ let ranked t =
 type call_outcome = {
   response : Proto.response;
   raw : string;  (** the winning response line, verbatim *)
-  endpoint : endpoint;  (** who answered *)
+  endpoint : Wire.Endpoint.t;  (** who answered *)
   attempts : int;  (** frames sent, hedges included *)
   retries : int;
   failovers : int;  (** attempts that moved to a different endpoint *)
@@ -526,7 +446,7 @@ let call t ?request_id fields =
                 | Lost msg ->
                   last_err :=
                     Printf.sprintf "%s: %s"
-                      (endpoint_to_string tag_eps.(tag).endpoint)
+                      (Wire.Endpoint.to_string tag_eps.(tag).endpoint)
                       msg;
                   conn_failure := true;
                   note_fail tag_eps.(tag)
@@ -544,7 +464,7 @@ let call t ?request_id fields =
                     | Retry.Retryable { hint_ms; draining } ->
                       last_err :=
                         Printf.sprintf "%s: rejected (%s)"
-                          (endpoint_to_string tag_eps.(tag).endpoint)
+                          (Wire.Endpoint.to_string tag_eps.(tag).endpoint)
                           (Option.value r.Proto.reason ~default:"?");
                       (match hint_ms with
                        | Some h ->

@@ -136,4 +136,19 @@ let to_string = function
   | Find_any -> "find-any"
   | Find_at_least k -> Printf.sprintf "find-%d" k
 
+let of_string s =
+  let s = String.lowercase_ascii (String.trim s) in
+  let k =
+    if String.starts_with ~prefix:"find-" s then
+      String.sub s 5 (String.length s - 5)
+    else s
+  in
+  match k with
+  | "all" -> Ok Find_all
+  | "any" -> Ok Find_any
+  | k -> (
+    match int_of_string_opt k with
+    | Some k when k >= 1 -> Ok (Find_at_least k)
+    | _ -> Error "objective must be all|any|<k>")
+
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -48,4 +48,10 @@ val success_exact : t -> Numeric.Rational.t array -> Numeric.Rational.t
 val found_enough : t -> m:int -> found:int -> bool
 
 val to_string : t -> string
+
+(** [of_string s] reads [all], [any] or a device count [k >= 1], each
+    also with a [find-] prefix — so it reads back every {!to_string}
+    output. Case and surrounding blanks are ignored. *)
+val of_string : string -> (t, string) result
+
 val pp : Format.formatter -> t -> unit

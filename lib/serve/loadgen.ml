@@ -1,8 +1,6 @@
 open Confcall
 open Wire
 
-type target = Tcp of int | Unix_path of string
-
 type opts = {
   rate : float;
   requests : int;
@@ -76,6 +74,8 @@ let validate o =
   if o.instances < 1 then invalid_arg "loadgen: instances must be >= 1";
   if o.connections < 1 then invalid_arg "loadgen: connections must be >= 1";
   if o.retries < 0 then invalid_arg "loadgen: retries must be >= 0";
+  if not (Float.is_finite o.timeout_s) || o.timeout_s <= 0.0 then
+    invalid_arg "loadgen: timeout must be positive and finite";
   (match o.hedge_after_ms with
    | Some h when not (Float.is_finite h) || h < 0.0 ->
      invalid_arg "loadgen: hedge_after_ms must be >= 0"
@@ -84,33 +84,6 @@ let validate o =
   | Some b when not (Float.is_finite b) || b <= 0.0 ->
     invalid_arg "loadgen: budget_ms must be positive"
   | _ -> ()
-
-let connect target =
-  match target with
-  | Tcp port ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-  | Unix_path path ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX path)
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
 
 (* Shared between both paths: the workload (instances, arrival gaps)
    and the request fields. Byte-for-byte the same frames either way —
@@ -199,16 +172,13 @@ let run_legacy target o =
          (("id", Json.Str (Printf.sprintf "r%d" i)) :: solve_fields o w i))
     ^ "\n"
   in
-  let conns = Array.init o.connections (fun _ -> connect target) in
+  let conns = Array.init o.connections (fun _ -> Endpoint.connect target) in
   let dead = Array.make o.connections false in
   let teardown = Atomic.make false in
   let replies : (int, reply) Hashtbl.t = Hashtbl.create o.requests in
   let rmutex = Mutex.create () in
   let answered = Atomic.make 0 in
   let receiver k =
-    let fd = conns.(k) in
-    let chunk = Bytes.create 65536 in
-    let acc = Buffer.create 4096 in
     let handle line =
       match Json.parse line with
       | Error _ -> ()
@@ -239,22 +209,13 @@ let run_legacy target o =
             | None -> ())
          | _ -> ())
     in
+    let r = Lines.reader conns.(k) in
     let rec pump () =
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> ()
-      | n ->
-        for i = 0 to n - 1 do
-          let c = Bytes.get chunk i in
-          if c = '\n' then begin
-            handle (Buffer.contents acc);
-            Buffer.clear acc
-          end
-          else Buffer.add_char acc c
-        done;
+      match Lines.read_line r with
+      | Some line ->
+        handle line;
         pump ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
-      | exception Unix.Unix_error _ -> ()
-      | exception Sys_error _ -> ()
+      | None -> ()
     in
     pump ();
     (* EOF or error before the run tore the socket down: the daemon
@@ -276,7 +237,7 @@ let run_legacy target o =
       if tried >= o.connections then false
       else if dead.(k) then try_from ((k + 1) mod o.connections) (tried + 1)
       else
-        match write_all conns.(k) (frame i) with
+        match Lines.write_all conns.(k) (frame i) with
         | () ->
           conn_of.(i) <- k;
           true
@@ -372,17 +333,10 @@ let max_concurrent_calls = 256
 
 let run_resilient targets o =
   let w = make_workload o in
-  let endpoints =
-    List.map
-      (function
-        | Tcp p -> Client.Tcp p
-        | Unix_path p -> Client.Unix_path p)
-      targets
-  in
   let cl =
     Client.create
       {
-        endpoints;
+        endpoints = targets;
         retry = { Client.Retry.default with max_retries = o.retries };
         budget_ms = Some (o.timeout_s *. 1000.0);
         hedge_after_ms = o.hedge_after_ms;

@@ -27,8 +27,6 @@
       outcome; the summary reports how it got there ([retried],
       [failed_over], [hedge_wins]). *)
 
-type target = Tcp of int  (** loopback *) | Unix_path of string
-
 type opts = {
   rate : float;  (** offered load, requests/second *)
   requests : int;
@@ -82,15 +80,16 @@ type stats = {
 
 (** [run target opts] drives one load session and blocks until every
     request reached a terminal outcome or the straggler timeout fires.
-    @raise Invalid_argument on nonsensical opts (rate, counts).
+    @raise Invalid_argument on nonsensical opts (rate, counts, a
+    timeout that is not positive and finite).
     @raise Unix.Unix_error when the daemon cannot be reached (legacy
     path; the resilient path records unreachable endpoints as request
     outcomes instead). *)
-val run : target -> opts -> stats
+val run : Wire.Endpoint.t -> opts -> stats
 
 (** [run_multi targets opts] — as {!run} over several replicas; always
     the resilient path when more than one target is given. *)
-val run_multi : target list -> opts -> stats
+val run_multi : Wire.Endpoint.t list -> opts -> stats
 
 (** [percentile xs p] — nearest-rank percentile ([p] in [0, 100]) of a
     {e sorted} array; [nan] when empty. *)

@@ -1,10 +1,8 @@
 open Confcall
 open Wire
 
-type listen = Tcp of int | Unix_path of string
-
 type config = {
-  listen : listen;
+  listen : Endpoint.t;
   domains : int;
   capacity : int;
   max_connections : int;
@@ -78,28 +76,6 @@ let apply_ladder ladder chain =
     let kept = if kept = [] then [ Solver.Greedy ] else kept in
     (kept, kept <> chain)
 
-(* ---------------- JSON emission ----------------
-
-   Pre-rendered string fields, byte-compatible with the CLI's emitter
-   (same separators, same %.12g for numbers) — the differential test
-   compares daemon strategy/EP fields against `confcall solve --json`
-   literally. *)
-
-let jstr s = Json.to_string (Json.Str s)
-let jnum x = Json.to_string (Json.Num x)
-let jbool b = if b then "true" else "false"
-let field (k, v) = jstr k ^ ": " ^ v
-let fragment fields = String.concat ", " (List.map field fields)
-let compose fields = "{" ^ fragment fields ^ "}"
-let jarr items = "[" ^ String.concat ", " items ^ "]"
-
-let jstrategy s =
-  jarr
-    (Array.to_list
-       (Array.map
-          (fun g -> jarr (Array.to_list (Array.map string_of_int g)))
-          (Strategy.groups s)))
-
 (* ---------------- state ---------------- *)
 
 (* Each connection owns a dedicated writer systhread draining a
@@ -170,8 +146,8 @@ type state = {
   exec_ms_ewma : float Atomic.t;  (* retry-after estimator *)
   (* Idempotency: request_id -> execution state. Waiters are
      (connection, frame id) pairs; the memoized payload is the terminal
-     (status, rendered-fields-after-status) pair. *)
-  dedup : (conn * string, string * string) Dedup.t;
+     status and the response fields after it. *)
+  dedup : (conn * string, string * (string * Json.t) list) Dedup.t;
   reqlog : Journal.t option;
   rlmutex : Mutex.t;  (* Journal.t is not thread-safe *)
 }
@@ -218,11 +194,6 @@ let write_all_deadline fd s ~timeout_s =
     end
   in
   go 0
-
-(* Best-effort blocking write for pre-connection rejects (no [conn]
-   exists yet); still deadline-bounded so an accept-time abuser cannot
-   stall the accept loop's helper. *)
-let write_all fd s = write_all_deadline fd s ~timeout_s:1.0
 
 (* One line per response, appended atomically w.r.t. other responses on
    the same connection: workers complete out of order, so pipelined
@@ -302,41 +273,26 @@ let record_request st rid ~status =
 
 (* A response rebuilt for a frame that did not execute: same terminal,
    the waiter's own frame id, plus a marker that it was deduplicated. *)
-let dedup_line ~id ~status payload =
-  "{"
-  ^ fragment [ ("id", jstr id); ("status", jstr status) ]
-  ^ (if payload = "" then "" else ", " ^ payload)
-  ^ ", "
-  ^ field ("dedup", jstr "hit")
-  ^ "}"
+let dedup_line ~id ~status fields =
+  Proto.frame ~id ~status (fields @ [ ("dedup", Json.Str "hit") ])
 
-(* Every terminal answer to a request carrying a request_id funnels
-   through here: answer the owning connection (byte-identical to the
-   pre-idempotency composition), journal the execution, memoize the
-   terminal, and answer the waiters parked by retried or hedged
-   duplicates of the same request. *)
-let terminal st conn ~id ~request_id ~status payload =
-  respond st conn ~status
-    ("{"
-    ^ fragment [ ("id", jstr id); ("status", jstr status) ]
-    ^ (if payload = "" then "" else ", " ^ payload)
-    ^ "}");
+(* Every terminal answer to a solve funnels through here: answer the
+   owning connection; when the request carries a request_id, also
+   journal the execution, memoize the terminal, and answer the waiters
+   parked by retried or hedged duplicates of the same request. *)
+let terminal st conn ~id ~request_id ~status fields =
+  respond st conn ~status (Proto.frame ~id ~status fields);
   match request_id with
   | None -> ()
   | Some rid ->
     record_request st rid ~status;
     List.iter
       (fun (wconn, wid) ->
-        respond st wconn ~status (dedup_line ~id:wid ~status payload))
-      (Dedup.complete st.dedup rid (status, payload))
+        respond st wconn ~status (dedup_line ~id:wid ~status fields))
+      (Dedup.complete st.dedup rid (status, fields))
 
 let terminal_error st conn ~id ~request_id msg =
-  match request_id with
-  | None ->
-    respond st conn ~status:"error" (Proto.error_frame ~id:(Some id) msg)
-  | Some _ ->
-    terminal st conn ~id ~request_id ~status:"error"
-      (fragment [ ("error", jstr msg) ])
+  terminal st conn ~id ~request_id ~status:"error" [ ("error", Json.Str msg) ]
 
 (* A rejected submission never executed: drop the in-flight entry so a
    later retry may run, and give any waiters that raced in the same
@@ -465,16 +421,25 @@ let cache_key ~objective ~mode inst =
   ^ "|"
   ^ Digest.to_hex (Digest.string mode)
 
-let hit_response ~id payload =
-  "{" ^ fragment [ ("id", jstr id); ("status", jstr "ok") ] ^ ", " ^ payload
-  ^ ", " ^ field ("cache", jstr "hit") ^ "}"
+(* The cache journal stores a clean solve's outcome fields as the
+   inside of a JSON object — the bytes between its braces, the format
+   journals have always had on disk. A hit parses them back; the
+   round trip is exact, since every number was printed at [%.12g]. *)
+let cache_payload fields =
+  let s = Json.to_string (Json.Obj fields) in
+  String.sub s 1 (String.length s - 2)
+
+let cached_fields payload =
+  match Json.parse ("{" ^ payload ^ "}") with
+  | Ok (Json.Obj fields) -> Some fields
+  | Ok _ | Error _ -> None
 
 let outcome_fields spec (o : Solver.outcome) =
   [
-    ("solver", jstr (Solver.spec_to_string spec));
-    ("strategy", jstrategy o.Solver.strategy);
-    ("expected_paging", jnum o.Solver.expected_paging);
-    ("exact", jbool o.Solver.exact);
+    ("solver", Json.Str (Solver.spec_to_string spec));
+    ("strategy", Proto.strategy (Strategy.groups o.Solver.strategy));
+    ("expected_paging", Json.Num o.Solver.expected_paging);
+    ("exact", Json.Bool o.Solver.exact);
   ]
 
 (* Feed the retry-after estimator. A plain [Atomic.set] race loses at
@@ -500,21 +465,21 @@ let execute_solve st job ~inst ~objective ~spec ~chain ~budget_ms ~ckey =
        nothing degraded — a clipped result must never be replayed to a
        healthy system. *)
     (match (status, ckey) with
-     | "ok", Some key -> Cache.store st.cache ~key ~payload:(fragment core)
+     | "ok", Some key -> Cache.store st.cache ~key ~payload:(cache_payload core)
      | _ -> ());
     let tail =
       [
-        ("ladder", jstr (ladder_to_string job.ladder));
-        ("queue_ms", jnum queue_ms);
-        ("elapsed_ms", jnum elapsed_ms);
-        ("cache", jstr (if ckey = None then "off" else "miss"));
+        ("ladder", Json.Str (ladder_to_string job.ladder));
+        ("queue_ms", Json.Num queue_ms);
+        ("elapsed_ms", Json.Num elapsed_ms);
+        ("cache", Json.Str (if ckey = None then "off" else "miss"));
       ]
       @ match reason with
-        | Some r -> [ ("degraded_reason", jstr r) ]
+        | Some r -> [ ("degraded_reason", Json.Str r) ]
         | None -> []
     in
     terminal st job.conn ~id:job.id ~request_id:job.request_id ~status
-      (fragment (core @ tail))
+      (core @ tail)
   in
   if not runner_path then begin
     (* Direct path: one solver, no deadline — mirrors `confcall solve`.
@@ -582,7 +547,7 @@ let execute_solve st job ~inst ~objective ~spec ~chain ~budget_ms ~ckey =
       in
       finish ~status ?reason
         (outcome_fields wspec o
-        @ [ ("chain", jstr (Runner.chain_to_string report.Runner.chain)) ])
+        @ [ ("chain", Json.Str (Runner.chain_to_string report.Runner.chain)) ])
   end
 
 let execute_sim st job ~build ~scenario ~seed ~replicas =
@@ -611,27 +576,25 @@ let execute_sim st job ~build ~scenario ~seed ~replicas =
   let elapsed_ms = (Obs.now () -. start_s) *. 1000.0 in
   note_exec_ms st elapsed_ms;
   respond st job.conn ~status:"ok"
-    (compose
+    (Proto.frame ~id:job.id ~status:"ok"
        [
-         ("id", jstr job.id);
-         ("status", jstr "ok");
-         ("scenario", jstr scenario);
-         ("seed", jnum (float_of_int seed));
-         ("replicas", jnum (float_of_int replicas));
+         ("scenario", Json.Str scenario);
+         ("seed", Json.int seed);
+         ("replicas", Json.int replicas);
          ( "per_scheme",
-           jarr
+           Json.Arr
              (List.map
                 (fun (name, calls, cells, ep) ->
-                  compose
+                  Json.Obj
                     [
-                      ("scheme", jstr name);
-                      ("calls", string_of_int calls);
-                      ("cells_paged", string_of_int cells);
-                      ("expected_paging", jnum ep);
+                      ("scheme", Json.Str name);
+                      ("calls", Json.int calls);
+                      ("cells_paged", Json.int cells);
+                      ("expected_paging", Json.Num ep);
                     ])
                 per_scheme) );
-         ("queue_ms", jnum queue_ms);
-         ("elapsed_ms", jnum elapsed_ms);
+         ("queue_ms", Json.Num queue_ms);
+         ("elapsed_ms", Json.Num elapsed_ms);
        ])
 
 (* Exactly one terminal response per admitted job, even when execution
@@ -680,20 +643,6 @@ let rec worker_loop st =
 
 (* ---------------- request handling (connection side) ---------------- *)
 
-let parse_objective s =
-  match String.lowercase_ascii (String.trim s) with
-  | "all" | "find-all" -> Ok Objective.Find_all
-  | "any" | "find-any" -> Ok Objective.Find_any
-  | other ->
-    let other =
-      match String.length other >= 5 && String.sub other 0 5 = "find-" with
-      | true -> String.sub other 5 (String.length other - 5)
-      | false -> other
-    in
-    (match int_of_string_opt other with
-     | Some k when k >= 1 -> Ok (Objective.Find_at_least k)
-     | _ -> Error "objective must be all|any|<k>")
-
 let handle_solve st conn ~id (sr : Proto.solve_req) =
   let ( let* ) r f =
     match r with
@@ -709,7 +658,7 @@ let handle_solve st conn ~id (sr : Proto.solve_req) =
   let* objective =
     match sr.Proto.objective with
     | None -> Ok Objective.Find_all
-    | Some s -> parse_objective s
+    | Some s -> Objective.of_string s
   in
   let* () =
     Result.map_error (fun e -> "objective: " ^ e)
@@ -744,14 +693,13 @@ let handle_solve st conn ~id (sr : Proto.solve_req) =
      touching the queue: a warm daemon under overload still serves
      repeats instantly, and a restarted daemon serves its journal. *)
   let proceed () =
-    match Option.bind ckey (fun key -> Cache.find st.cache ~key) with
-    | Some payload -> (
-      match request_id with
-      | None -> respond st conn ~status:"ok" (hit_response ~id payload)
-      | Some _ ->
-        (* same bytes as [hit_response], via the dedup-completing path *)
-        terminal st conn ~id ~request_id ~status:"ok"
-          (payload ^ ", " ^ field ("cache", jstr "hit")))
+    match
+      Option.bind ckey (fun key ->
+          Option.bind (Cache.find st.cache ~key) cached_fields)
+    with
+    | Some fields ->
+      terminal st conn ~id ~request_id ~status:"ok"
+        (fields @ [ ("cache", Json.Str "hit") ])
     | None ->
       admit st conn ~id ~request_id
         (Jsolve
@@ -783,27 +731,25 @@ let health_response st ~id =
   let depth = Queue.length st.queue in
   Mutex.unlock st.qmutex;
   let ds = Dedup.stats st.dedup in
-  compose
+  Proto.frame ~id ~status:"ok"
     [
-      ("id", jstr id);
-      ("status", jstr "ok");
-      ("draining", jbool (Atomic.get st.stopping));
-      ("queue_depth", string_of_int depth);
-      ("capacity", string_of_int st.cfg.capacity);
-      ("domains", string_of_int st.cfg.domains);
-      ("inflight", string_of_int (Atomic.get st.inflight));
-      ("connections", string_of_int (Atomic.get st.connections));
-      ("cache_entries", string_of_int (Cache.entries st.cache));
-      ("cache_hits", string_of_int (Cache.hits st.cache));
-      ("cache_misses", string_of_int (Cache.misses st.cache));
-      ("cache_evictions", string_of_int (Cache.evictions st.cache));
-      ("breaker_open", jbool (breaker_open_ms st <> None));
-      ("pool_respawns", string_of_int (Exec.Pool.total_respawns ()));
-      ("dedup_in_flight", string_of_int ds.Dedup.in_flight);
-      ("dedup_completed", string_of_int ds.Dedup.completed);
+      ("draining", Json.Bool (Atomic.get st.stopping));
+      ("queue_depth", Json.int depth);
+      ("capacity", Json.int st.cfg.capacity);
+      ("domains", Json.int st.cfg.domains);
+      ("inflight", Json.int (Atomic.get st.inflight));
+      ("connections", Json.int (Atomic.get st.connections));
+      ("cache_entries", Json.int (Cache.entries st.cache));
+      ("cache_hits", Json.int (Cache.hits st.cache));
+      ("cache_misses", Json.int (Cache.misses st.cache));
+      ("cache_evictions", Json.int (Cache.evictions st.cache));
+      ("breaker_open", Json.Bool (breaker_open_ms st <> None));
+      ("pool_respawns", Json.int (Exec.Pool.total_respawns ()));
+      ("dedup_in_flight", Json.int ds.Dedup.in_flight);
+      ("dedup_completed", Json.int ds.Dedup.completed);
       ( "dedup_hits",
-        string_of_int (ds.Dedup.hits_in_flight + ds.Dedup.hits_completed) );
-      ("request_log", jbool (st.reqlog <> None));
+        Json.int (ds.Dedup.hits_in_flight + ds.Dedup.hits_completed) );
+      ("request_log", Json.Bool (st.reqlog <> None));
     ]
 
 let handle_frame st conn line =
@@ -818,18 +764,15 @@ let handle_frame st conn line =
        respond st conn ~status:"ok" (health_response st ~id)
      | Proto.Metrics ->
        respond st conn ~status:"ok"
-         (compose
+         (Proto.frame ~id ~status:"ok"
             [
-              ("id", jstr id);
-              ("status", jstr "ok");
               ( "prometheus",
-                jstr (Obs.Metrics.to_prometheus Obs.Metrics.default) );
+                Json.Str (Obs.Metrics.to_prometheus Obs.Metrics.default) );
             ])
      | Proto.Drain ->
        initiate_drain st;
        respond st conn ~status:"ok"
-         (compose
-            [ ("id", jstr id); ("status", jstr "ok"); ("draining", "true") ])
+         (Proto.frame ~id ~status:"ok" [ ("draining", Json.Bool true) ])
      | Proto.Solve sr -> handle_solve st conn ~id sr
      | Proto.Simulate { scenario; seed; replicas } ->
        (match List.assoc_opt scenario Cellsim.Scenario.all with
@@ -940,29 +883,40 @@ let conn_main st fd =
 (* ---------------- accept loop ---------------- *)
 
 let bind_listen cfg =
-  match cfg.listen with
-  | Tcp port ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try
-       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-       Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-       Unix.listen fd 128
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-  | Unix_path path ->
-    (try
+  (* a stale socket file left by a killed daemon would fail the bind *)
+  (match cfg.listen with
+   | Endpoint.Unix_path path -> (
+     try
        if (Unix.stat path).Unix.st_kind = Unix.S_SOCK then Unix.unlink path
-     with Unix.Unix_error _ -> ());
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+     with Unix.Unix_error _ -> ())
+   | Endpoint.Tcp _ -> ());
+  let domain, addr = Endpoint.sockaddr cfg.listen in
+  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+  (try
+     if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+     Unix.bind fd addr;
+     Unix.listen fd 128
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  fd
+
+(* Serve a freshly accepted connection on its own thread or, at the
+   connection cap, answer one error frame and close it. No [conn]
+   exists yet, so the write is a direct one — still deadline-bounded,
+   so an accept-time abuser cannot stall the accept loop. *)
+let adopt st fd =
+  if Atomic.get st.connections >= st.cfg.max_connections then begin
     (try
-       Unix.bind fd (Unix.ADDR_UNIX path);
-       Unix.listen fd 128
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
+       write_all_deadline fd ~timeout_s:1.0
+         (Proto.error_frame ~id:None "too many connections" ^ "\n")
+     with Write_stalled | Unix.Unix_error _ | Sys_error _ -> ());
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  end
+  else begin
+    Atomic.incr st.connections;
+    ignore (Thread.create (conn_main st) fd)
+  end
 
 (* Select with a short timeout instead of a blocking accept: the loop
    doubles as the poller that promotes a signal-handler drain request
@@ -985,17 +939,7 @@ let accept_loop st lfd =
                would RST a client mid-burst (its unread request bytes
                turn close into a reset). Serve it — admission answers
                every submission with a terminal "draining" reject. *)
-            if Atomic.get st.connections >= st.cfg.max_connections then begin
-              (try
-                 write_all fd
-                   (Proto.error_frame ~id:None "too many connections" ^ "\n")
-               with Unix.Unix_error _ | Sys_error _ -> ());
-              try Unix.close fd with Unix.Unix_error _ -> ()
-            end
-            else begin
-              Atomic.incr st.connections;
-              ignore (Thread.create (conn_main st) fd)
-            end
+            adopt st fd
           | exception
               Unix.Unix_error
                 ( ( Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK
@@ -1017,17 +961,7 @@ let accept_loop st lfd =
     | _ -> (
       match Unix.accept ~cloexec:true lfd with
       | fd, _ ->
-        (if Atomic.get st.connections >= st.cfg.max_connections then begin
-           (try
-              write_all fd
-                (Proto.error_frame ~id:None "too many connections" ^ "\n")
-            with Unix.Unix_error _ | Sys_error _ -> ());
-           try Unix.close fd with Unix.Unix_error _ -> ()
-         end
-         else begin
-           Atomic.incr st.connections;
-           ignore (Thread.create (conn_main st) fd)
-         end);
+        adopt st fd;
         sweep ()
       | exception Unix.Unix_error _ -> ())
     | exception Unix.Unix_error _ -> ()
@@ -1035,8 +969,8 @@ let accept_loop st lfd =
   sweep ();
   (try Unix.close lfd with Unix.Unix_error _ -> ());
   match st.cfg.listen with
-  | Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
-  | Tcp _ -> ()
+  | Endpoint.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
+  | Endpoint.Tcp _ -> ()
 
 (* ---------------- lifecycle ---------------- *)
 

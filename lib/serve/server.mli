@@ -52,10 +52,8 @@
     text exposition). [serve_*] counters/gauges cover requests by
     status, sheds, ladder occupancy, queue depth and cache traffic. *)
 
-type listen = Tcp of int  (** loopback; port 0 picks one *) | Unix_path of string
-
 type config = {
-  listen : listen;
+  listen : Wire.Endpoint.t;  (** [Tcp 0] binds an ephemeral port *)
   domains : int;  (** worker parallelism, >= 1 (see {!Exec.Pool}) *)
   capacity : int;  (** bounded request queue, >= 1 *)
   max_connections : int;
@@ -90,7 +88,7 @@ type config = {
     is answered from a bounded LRU of recent terminals. Either way the
     duplicate's response carries ["dedup":"hit"]. Rejected submissions
     are {e not} memoized: the client's retry is welcome to try again. *)
-val default_config : listen -> config
+val default_config : Wire.Endpoint.t -> config
 
 (** The shedding ladder, from healthy to overloaded. *)
 type ladder = Full | Heuristic | Fast

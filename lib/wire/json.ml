@@ -8,9 +8,9 @@ type t =
 
 (* ---------------- printer ---------------- *)
 
-(* The one escaper and number formatter: the CLI's [--json] fragments
-   and the bench reports print strings and numbers through [to_string],
-   so daemon and CLI output compare byte for byte. *)
+(* The one escaper and number formatter: the daemon, the CLI's [--json]
+   output and the bench reports all print through [to_string], so
+   daemon and CLI output compare byte for byte. *)
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -61,6 +61,8 @@ let to_string v =
   let buf = Buffer.create 256 in
   write buf v;
   Buffer.contents buf
+
+let int n = Num (float_of_int n)
 
 (* ---------------- parser ---------------- *)
 

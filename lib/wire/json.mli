@@ -2,10 +2,11 @@
 
     Hand-rolled on purpose: frames are small objects of numbers,
     strings, booleans and nested arrays, and the container must not
-    grow dependencies. The printer ([", "]/[": "] separators, numbers
-    as [%.12g], non-finite numbers as quoted [%h] strings) is also the
-    one the CLI's [--json] emitter and the bench reports print strings
-    and numbers with, so a daemon response and a CLI solve print
+    grow dependencies. {!to_string} is the repository's one JSON
+    emitter ([", "]/[": "] separators, numbers as [%.12g], non-finite
+    numbers as quoted [%h] strings): daemon responses, the CLI's
+    [--json] output and the bench reports are all built as {!t} values
+    and printed by it, so a daemon response and a CLI solve print
     strategies and expected paging {e byte-identically} — the
     differential tests lean on that.
 
@@ -29,6 +30,10 @@ type t =
 val parse : ?max_depth:int -> string -> (t, string) result
 
 val to_string : t -> string
+
+val int : int -> t
+(** [Num (float_of_int n)]: prints the same digits as [string_of_int n]
+    for [|n| < 1e12]. *)
 
 (** {2 Accessors} — shape-tolerant lookups for protocol fields. *)
 

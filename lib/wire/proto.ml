@@ -159,7 +159,9 @@ let frame ~id ~status fields =
   Json.to_string
     (Json.Obj (("id", Json.Str id) :: ("status", Json.Str status) :: fields))
 
-let ok_frame ~id fields = frame ~id ~status:"ok" fields
+let strategy groups =
+  let cells g = Json.Arr (Array.to_list (Array.map Json.int g)) in
+  Json.Arr (Array.to_list (Array.map cells groups))
 
 let rejected_frame ~id ?retry_after_ms ~reason () =
   let fields =

@@ -63,10 +63,15 @@ val error_frame : id:string option -> string -> string
 val rejected_frame :
   id:string -> ?retry_after_ms:int -> reason:string -> unit -> string
 
-val ok_frame : id:string -> (string * Json.t) list -> string
-(** [ok_frame ~id fields] — [{"id":.., "status":"ok", fields...}]. *)
-
 val frame : id:string -> status:string -> (string * Json.t) list -> string
+(** [frame ~id ~status fields] — [{"id": .., "status": .., fields...}],
+    printed by {!Json.to_string}: every daemon response is laid out
+    here. *)
+
+val strategy : int array array -> Json.t
+(** A paging strategy on the wire: one array of cell indices per
+    round, as {!Confcall.Strategy.groups} returns them. [confcall solve
+    --json] prints strategies the same way. *)
 
 (** {2 Response decoding (client side)}
 

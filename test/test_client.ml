@@ -19,6 +19,7 @@ module C = Client
 module J = Client.Json
 module P = Client.Proto
 module R = Client.Retry
+module E = Wire.Endpoint
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -309,7 +310,7 @@ let test_failover_dead_endpoint () =
   Fun.protect ~finally:(fun () -> stop_fake live) @@ fun () ->
   let cfg =
     {
-      (C.default_config [ C.Tcp (dead_port ()); C.Tcp live.port ]) with
+      (C.default_config [ E.Tcp (dead_port ()); E.Tcp live.port ]) with
       budget_ms = Some 5000.0;
       seed = 7;
     }
@@ -320,7 +321,7 @@ let test_failover_dead_endpoint () =
   | Ok o ->
     check string_t "answered ok" "ok" o.C.response.P.status;
     check bool_t "answered by the live endpoint" true
-      (o.C.endpoint = C.Tcp live.port);
+      (o.C.endpoint = E.Tcp live.port);
     check bool_t "recorded a failover" true (o.C.failovers >= 1);
     check bool_t "recorded a retry" true (o.C.retries >= 1);
     (* the dead endpoint is now scored down: a second call goes
@@ -339,7 +340,7 @@ let test_budget_exhaustion_best_so_far () =
   Fun.protect ~finally:(fun () -> stop_fake f) @@ fun () ->
   let cfg =
     {
-      (C.default_config [ C.Tcp f.port ]) with
+      (C.default_config [ E.Tcp f.port ]) with
       budget_ms = Some 80.0;
       seed = 7;
     }
@@ -372,7 +373,7 @@ let test_retries_exhausted () =
   Fun.protect ~finally:(fun () -> stop_fake f) @@ fun () ->
   let cfg =
     {
-      (C.default_config [ C.Tcp f.port ]) with
+      (C.default_config [ E.Tcp f.port ]) with
       retry = { R.max_retries = 2; base_ms = 1.0; cap_ms = 5.0 };
       budget_ms = Some 5000.0;
       seed = 7;
@@ -403,7 +404,7 @@ let test_hedge_exactly_one_answer () =
   @@ fun () ->
   let cfg =
     {
-      (C.default_config [ C.Tcp slow.port; C.Tcp fast.port ]) with
+      (C.default_config [ E.Tcp slow.port; E.Tcp fast.port ]) with
       budget_ms = Some 5000.0;
       hedge_after_ms = Some 40.0;
       seed = 7;
@@ -416,7 +417,7 @@ let test_hedge_exactly_one_answer () =
     check bool_t "hedge won" true o.C.hedge_won;
     check int_t "one hedge fired" 1 o.C.hedges;
     check bool_t "winner is the fast endpoint" true
-      (o.C.endpoint = C.Tcp fast.port);
+      (o.C.endpoint = E.Tcp fast.port);
     check bool_t "the hedge beat the slow primary" true
       (o.C.elapsed_ms < 290.0);
     (* let the loser's late answer drain: it must be discarded, not
@@ -434,20 +435,68 @@ let test_hedge_exactly_one_answer () =
 (* ---------------- endpoint parsing ---------------- *)
 
 let test_endpoint_parsing () =
-  check bool_t "bare port" true (C.endpoint_of_string "8080" = Ok (C.Tcp 8080));
+  check bool_t "bare port" true (E.of_string "8080" = Ok (E.Tcp 8080));
   check bool_t "tcp prefix" true
-    (C.endpoint_of_string "tcp:9090" = Ok (C.Tcp 9090));
+    (E.of_string "tcp:9090" = Ok (E.Tcp 9090));
   check bool_t "unix prefix" true
-    (C.endpoint_of_string "unix:/tmp/s.sock" = Ok (C.Unix_path "/tmp/s.sock"));
+    (E.of_string "unix:/tmp/s.sock" = Ok (E.Unix_path "/tmp/s.sock"));
   check bool_t "bare path" true
-    (C.endpoint_of_string "/tmp/s.sock" = Ok (C.Unix_path "/tmp/s.sock"));
+    (E.of_string "/tmp/s.sock" = Ok (E.Unix_path "/tmp/s.sock"));
   check bool_t "comma list" true
-    (C.endpoints_of_string "8080, unix:/a, /b"
-    = Ok [ C.Tcp 8080; C.Unix_path "/a"; C.Unix_path "/b" ]);
+    (E.list_of_string "8080, unix:/a, /b"
+    = Ok [ E.Tcp 8080; E.Unix_path "/a"; E.Unix_path "/b" ]);
   check bool_t "out-of-range port rejected" true
-    (match C.endpoint_of_string "70000" with Error _ -> true | Ok _ -> false);
+    (match E.of_string "70000" with Error _ -> true | Ok _ -> false);
   check bool_t "empty list rejected" true
-    (match C.endpoints_of_string " , " with Error _ -> true | Ok _ -> false)
+    (match E.list_of_string " , " with Error _ -> true | Ok _ -> false);
+  let rejected s =
+    match E.of_string s with Error _ -> true | Ok _ -> false
+  in
+  (* a bare prefix is not a socket literally named "unix:" or "tcp:" *)
+  check bool_t "unix: without a path rejected" true (rejected "unix:");
+  check bool_t "tcp: without a port rejected" true (rejected "tcp:");
+  check bool_t "unix: in a list rejected" true
+    (match E.list_of_string "8080,unix:" with
+     | Error _ -> true
+     | Ok _ -> false);
+  (* port 0 names no daemon: binding it picks a port, connecting fails *)
+  check bool_t "tcp:0 rejected" true (rejected "tcp:0");
+  check bool_t "bare 0 rejected" true (rejected "0");
+  check bool_t "negative port rejected" true (rejected "tcp:-1");
+  check bool_t "edge ports accepted" true
+    (E.of_string "1" = Ok (E.Tcp 1)
+    && E.of_string "tcp:65535" = Ok (E.Tcp 65535));
+  (* to_string reads back *)
+  List.iter
+    (fun e ->
+      check bool_t
+        ("round trip " ^ E.to_string e)
+        true
+        (E.of_string (E.to_string e) = Ok e))
+    [ E.Tcp 8080; E.Unix_path "/tmp/s.sock";
+      E.Unix_path "rel.sock" ]
+
+(* ---------------- line framing ---------------- *)
+
+(* The shared reader splits on newlines across reads, keeps a partial
+   line when its deadline passes, and reports end of stream. *)
+let test_line_reader () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  Fun.protect ~finally:(fun () -> close a; close b) @@ fun () ->
+  let r = Wire.Lines.reader b in
+  let line = Alcotest.(option string) in
+  let soon () = Unix.gettimeofday () +. 0.05 in
+  Wire.Lines.write_all a "one\ntw";
+  check line "first line" (Some "one") (Wire.Lines.read_line r);
+  check line "partial line waits out its deadline" None
+    (Wire.Lines.read_line ~deadline:(soon ()) r);
+  Wire.Lines.write_all a "o\n\nthree";
+  check line "partial line completed" (Some "two") (Wire.Lines.read_line r);
+  check line "empty line" (Some "") (Wire.Lines.read_line ~deadline:(soon ()) r);
+  Unix.shutdown a Unix.SHUTDOWN_SEND;
+  check line "unterminated tail dropped at end of stream" None
+    (Wire.Lines.read_line r)
 
 (* ---------------- registration ---------------- *)
 
@@ -480,4 +529,6 @@ let () =
         ] );
       ( "endpoints",
         [ Alcotest.test_case "endpoint grammar" `Quick test_endpoint_parsing ] );
+      ( "lines",
+        [ Alcotest.test_case "line reader" `Quick test_line_reader ] );
     ]

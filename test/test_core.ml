@@ -169,6 +169,30 @@ let test_objective_found_enough () =
   check bool_t "k" true
     (Objective.found_enough (Objective.Find_at_least 2) ~m:3 ~found:2)
 
+(* One parser for the CLI flag and the daemon's frame field: it must
+   read back every printed objective, and the short and prefixed
+   spellings mean the same thing. *)
+let test_objective_of_string () =
+  let obj =
+    Alcotest.testable Objective.pp (fun a b -> a = b)
+  in
+  let ok = Alcotest.(result obj string) in
+  List.iter
+    (fun o ->
+      check ok ("round trip " ^ Objective.to_string o) (Ok o)
+        (Objective.of_string (Objective.to_string o)))
+    Objective.[ Find_all; Find_any; Find_at_least 1; Find_at_least 2;
+                Find_at_least 17 ];
+  List.iter
+    (fun (s, o) -> check ok ("reads " ^ s) (Ok o) (Objective.of_string s))
+    Objective.[ ("all", Find_all); ("ANY", Find_any); (" 3 ", Find_at_least 3);
+                ("Find-2", Find_at_least 2) ];
+  List.iter
+    (fun s ->
+      check bool_t ("rejects " ^ s) true
+        (Result.is_error (Objective.of_string s)))
+    [ ""; "0"; "-1"; "find-0"; "find-"; "some"; "find-some" ]
+
 let prop_objective_monotone_in_probs =
   QCheck.Test.make ~name:"success monotone in prefix masses" ~count:200
     (QCheck.pair
@@ -571,6 +595,8 @@ let () =
           Alcotest.test_case "poisson binomial" `Quick
             test_objective_poisson_binomial;
           Alcotest.test_case "found_enough" `Quick test_objective_found_enough;
+          Alcotest.test_case "of_string reads to_string" `Quick
+            test_objective_of_string;
           qt prop_objective_monotone_in_probs;
           qt prop_objective_exact_matches_float;
         ] );

@@ -266,7 +266,7 @@ let test_connection_survives_garbage () =
   let rng = Prob.Rng.create ~seed:0xF0223 in
   let cfg =
     {
-      (Serve.Server.default_config (Serve.Server.Tcp 0)) with
+      (Serve.Server.default_config (Wire.Endpoint.Tcp 0)) with
       domains = 1;
       max_frame_bytes = 2048;
       quiet = true;

@@ -24,70 +24,27 @@ let string_t = Alcotest.string
 
 (* ---------------- tiny JSONL client ---------------- *)
 
-type client = { fd : Unix.file_descr; buf : Buffer.t; mutable eof : bool }
+type client = { fd : Unix.file_descr; reader : Wire.Lines.reader }
 
 let connect port =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  { fd; buf = Buffer.create 4096; eof = false }
+  let fd = Wire.Endpoint.connect (Wire.Endpoint.Tcp port) in
+  { fd; reader = Wire.Lines.reader fd }
 
 let close_client c = try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let send c line =
-  let s = line ^ "\n" in
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring c.fd s off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
+let send c line = Wire.Lines.write_all c.fd (line ^ "\n")
 
 (* Pull [n] complete response lines, in arrival order, within a bounded
    window. Responses may belong to any in-flight request. *)
 let recv_n ?(timeout = 30.0) c n =
   let deadline = Unix.gettimeofday () +. timeout in
-  let chunk = Bytes.create 4096 in
-  let lines = ref [] in
-  let got = ref 0 in
-  let split_off () =
-    let s = Buffer.contents c.buf in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some i ->
-      Buffer.clear c.buf;
-      Buffer.add_string c.buf (String.sub s (i + 1) (String.length s - i - 1));
-      Some (String.sub s 0 i)
+  let rec go acc got =
+    if got = n then List.rev acc
+    else
+      match Wire.Lines.read_line ~deadline c.reader with
+      | Some line -> go (line :: acc) (got + 1)
+      | None -> Alcotest.failf "timed out after %d/%d responses" got n
   in
-  while !got < n && Unix.gettimeofday () < deadline && not c.eof do
-    match split_off () with
-    | Some line ->
-      lines := line :: !lines;
-      incr got
-    | None ->
-      (match Unix.select [ c.fd ] [] [] 0.1 with
-       | [], _, _ -> ()
-       | _ ->
-         (match Unix.read c.fd chunk 0 4096 with
-          | 0 -> c.eof <- true
-          | r -> Buffer.add_subbytes c.buf chunk 0 r
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
-  done;
-  (* drain whole lines already buffered *)
-  let rec flush () =
-    if !got < n then
-      match split_off () with
-      | Some line ->
-        lines := line :: !lines;
-        incr got;
-        flush ()
-      | None -> ()
-  in
-  flush ();
-  if !got < n then
-    Alcotest.failf "timed out after %d/%d responses" !got n;
-  List.rev !lines
+  go [] 0
 
 let parse_response line =
   match J.parse line with
@@ -135,7 +92,7 @@ let with_server ?(domains = 2) ?(capacity = 16) ?cache_path
   let before = Exec.Pool.active_domains () in
   let cfg =
     {
-      (Sv.default_config (Sv.Tcp 0)) with
+      (Sv.default_config (Wire.Endpoint.Tcp 0)) with
       domains;
       capacity;
       cache_path;
@@ -352,8 +309,9 @@ let test_cache_persistence () =
 
 (* ---------------- differential: daemon vs CLI emitter ---------------- *)
 
-(* Local replica of the CLI's JSON emitter (bin/confcall_cli.ml) for the
-   fields a solve response shares with `confcall solve --json`. *)
+(* Independent replica, by [Printf], of the bytes `confcall solve --json`
+   prints for the fields a solve response shares with it — not a call
+   into [Wire.Json], which both the daemon and the CLI print through. *)
 let cli_num x =
   if Float.is_finite x then Printf.sprintf "%.12g" x
   else Printf.sprintf "\"%h\"" x
@@ -633,7 +591,7 @@ let test_idempotency_dedup () =
   Sys.remove reqlog;
   let cfg =
     {
-      (Sv.default_config (Sv.Tcp 0)) with
+      (Sv.default_config (Wire.Endpoint.Tcp 0)) with
       domains = 1;
       capacity = 16;
       request_log = Some reqlog;
@@ -697,6 +655,134 @@ let test_idempotency_dedup () =
   check bool_t "journalled ids are the executed ids" true
     (List.map fst entries = [ "rid-1"; "rid-2" ])
 
+(* ---------------- response key layout ---------------- *)
+
+(* The key sequence of every response kind, pinned in order: clients
+   and the bench gates look fields up by name, but the daemon's bytes
+   are also compared against `confcall solve --json` and against
+   journals written by earlier builds, so the layout itself is part of
+   the wire contract. *)
+let keys j =
+  match j with
+  | J.Obj fields -> List.map fst fields
+  | _ -> Alcotest.fail "response is not an object"
+
+let check_keys what want j =
+  check (Alcotest.list string_t) (what ^ " keys") want (keys j)
+
+let outcome_keys = [ "solver"; "strategy"; "expected_paging"; "exact" ]
+let exec_tail = [ "ladder"; "queue_ms"; "elapsed_ms"; "cache" ]
+
+let test_response_key_layout () =
+  with_server ~domains:1 ~capacity:2 (fun _h port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+      let rng = Prob.Rng.create ~seed:53 in
+      let small = Instance.random_uniform_simplex rng ~m:2 ~c:6 ~d:2 in
+      let d3 = Instance.random_uniform_simplex rng ~m:2 ~c:6 ~d:3 in
+      let slow = Instance.random_uniform_simplex rng ~m:3 ~c:16 ~d:3 in
+      let one frame =
+        send c frame;
+        parse_response (List.hd (recv_n c 1))
+      in
+      let j = one (solve_frame ~id:"direct" ~solver:"greedy" small) in
+      check string_t "direct ok" "ok" (jstr_field "status" j);
+      check_keys "direct ok" ([ "id"; "status" ] @ outcome_keys @ exec_tail) j;
+      let j = one (solve_frame ~id:"runner" ~chain:"fast" small) in
+      check string_t "runner ok" "ok" (jstr_field "status" j);
+      check_keys "runner ok"
+        ([ "id"; "status" ] @ outcome_keys @ [ "chain" ] @ exec_tail)
+        j;
+      let j =
+        one (solve_frame ~id:"late" ~chain:"exact" ~budget_ms:1.0 slow)
+      in
+      check string_t "degraded" "degraded" (jstr_field "status" j);
+      check_keys "degraded"
+        ([ "id"; "status" ] @ outcome_keys @ [ "chain" ] @ exec_tail
+        @ [ "degraded_reason" ])
+        j;
+      let j = one (solve_frame ~id:"miss" ~solver:"greedy" ~cache:true small) in
+      check string_t "cache miss" "miss" (jstr_field "cache" j);
+      let j = one (solve_frame ~id:"hit" ~solver:"greedy" ~cache:true small) in
+      check_keys "cache hit" ([ "id"; "status" ] @ outcome_keys @ [ "cache" ]) j;
+      check string_t "cache hit marker" "hit" (jstr_field "cache" j);
+      let j =
+        one
+          (solve_frame ~id:"hit-rid" ~request_id:"k-hit" ~solver:"greedy"
+             ~cache:true small)
+      in
+      check_keys "cache hit with request_id"
+        ([ "id"; "status" ] @ outcome_keys @ [ "cache" ])
+        j;
+      let j =
+        one (solve_frame ~id:"own" ~request_id:"k1" ~solver:"greedy" small)
+      in
+      check_keys "dedup owner" ([ "id"; "status" ] @ outcome_keys @ exec_tail) j;
+      let j =
+        one (solve_frame ~id:"dup" ~request_id:"k1" ~solver:"greedy" small)
+      in
+      check_keys "dedup replay"
+        ([ "id"; "status" ] @ outcome_keys @ exec_tail @ [ "dedup" ])
+        j;
+      check string_t "dedup marker" "hit" (jstr_field "dedup" j);
+      let j = one (solve_frame ~id:"bnb" ~solver:"bnb" d3) in
+      check string_t "inapplicable solver" "error" (jstr_field "status" j);
+      check_keys "error" [ "id"; "status"; "error" ] j;
+      let j = one (solve_frame ~id:"bnb-rid" ~request_id:"k2" ~solver:"bnb" d3) in
+      check_keys "error with request_id" [ "id"; "status"; "error" ] j;
+      let j = one (solve_frame ~id:"bnb-dup" ~request_id:"k2" ~solver:"bnb" d3) in
+      check_keys "error replay" [ "id"; "status"; "error"; "dedup" ] j;
+      check_keys "error without id" [ "status"; "error" ] (one "not json");
+      check_keys "error with id" [ "id"; "status"; "error" ]
+        (one "{\"id\": \"e\", \"op\": \"warp\"}");
+      check_keys "health"
+        [ "id"; "status"; "draining"; "queue_depth"; "capacity"; "domains";
+          "inflight"; "connections"; "cache_entries"; "cache_hits";
+          "cache_misses"; "cache_evictions"; "breaker_open";
+          "pool_respawns"; "dedup_in_flight"; "dedup_completed";
+          "dedup_hits"; "request_log" ]
+        (one "{\"id\": \"h\", \"op\": \"health\"}");
+      check_keys "metrics" [ "id"; "status"; "prometheus" ]
+        (one "{\"id\": \"m\", \"op\": \"metrics\"}");
+      let j =
+        one
+          "{\"id\": \"sim\", \"op\": \"simulate\", \"scenario\": \"suburb\", \
+           \"seed\": 3}"
+      in
+      check_keys "simulate"
+        [ "id"; "status"; "scenario"; "seed"; "replicas"; "per_scheme";
+          "queue_ms"; "elapsed_ms" ]
+        j;
+      (match J.member "per_scheme" j with
+       | Some (J.Arr (s :: _)) ->
+         check_keys "simulate scheme"
+           [ "scheme"; "calls"; "cells_paged"; "expected_paging" ]
+           s
+       | _ -> Alcotest.fail "simulate has no per_scheme rows");
+      (* pin the queue (capacity 2) so admission sheds with a hint *)
+      let n = 8 in
+      for i = 1 to n do
+        send c
+          (solve_frame ~id:(Printf.sprintf "o%d" i) ~chain:"exact"
+             ~budget_ms:150.0 slow)
+      done;
+      let rejected =
+        List.filter
+          (fun (_, (j, _)) -> jstr_field "status" j = "rejected")
+          (by_id (recv_n c n))
+      in
+      check bool_t "some requests shed" true (rejected <> []);
+      List.iter
+        (fun (_, (j, _)) ->
+          check_keys "rejected overload"
+            [ "id"; "status"; "reason"; "retry_after_ms" ]
+            j)
+        rejected;
+      check_keys "drain" [ "id"; "status"; "draining" ]
+        (one "{\"id\": \"d\", \"op\": \"drain\"}");
+      let j = one (solve_frame ~id:"after" ~solver:"greedy" small) in
+      check_keys "rejected draining" [ "id"; "status"; "reason" ] j)
+
 (* ---------------- registration ---------------- *)
 
 let () =
@@ -736,6 +822,8 @@ let () =
             test_ops_and_drain;
           Alcotest.test_case "drain finishes in-flight work" `Quick
             test_drain_finishes_inflight;
+          Alcotest.test_case "response key layout" `Quick
+            test_response_key_layout;
         ] );
       ( "idempotency",
         [

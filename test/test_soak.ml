@@ -227,7 +227,7 @@ let run_serve_burst ~chaos () =
   in
   let cfg =
     {
-      (Serve.Server.default_config (Serve.Server.Tcp 0)) with
+      (Serve.Server.default_config (Wire.Endpoint.Tcp 0)) with
       domains = 2;
       capacity;
       cache_path;
