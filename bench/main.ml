@@ -1070,7 +1070,8 @@ let e21 () =
   let ok = ref true in
   List.iter
     (fun (name, build) ->
-      let r = Cellsim.Sim.run (build ?seed:(Some 21212) ()) in
+      let cfg = build ?seed:(Some 21212) () in
+      let r = Cellsim.Sim.run cfg in
       Printf.printf "%s: %d calls, %d reports, %d skipped\n" name
         r.Cellsim.Sim.total_calls r.Cellsim.Sim.updates
         r.Cellsim.Sim.skipped_calls;
@@ -1087,7 +1088,7 @@ let e21 () =
       (* The clean-infrastructure claim: only check scenarios without a
          fault model (degraded-downtown's blanket escalation deliberately
          erases the gap — that regime is e22's subject). *)
-      (if (build ?seed:(Some 21212) ()).Cellsim.Sim.faults = None then
+      (if cfg.Cellsim.Sim.faults = None then
          match r.Cellsim.Sim.per_scheme with
          | blanket :: selective :: _ ->
            if per_call selective >= per_call blanket then ok := false

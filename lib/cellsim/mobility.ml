@@ -148,6 +148,8 @@ type residence =
   | Pareto of { alpha : float; scale : float }
   | Zipf of { s : float; cutoff : int }
 
+let zipf_max_cutoff = 1 lsl 20
+
 let validate_residence = function
   | Exponential { mean } ->
     if not (Float.is_finite mean && mean >= 1.0) then
@@ -163,12 +165,52 @@ let validate_residence = function
     if not (Float.is_finite s && s >= 0.0) then
       Error "zipf residence s must be finite and >= 0"
     else if cutoff < 1 then Error "zipf residence cutoff must be >= 1"
+    else if cutoff > zipf_max_cutoff then
+      Error
+        (Printf.sprintf "zipf residence cutoff must be <= %d" zipf_max_cutoff)
     else Ok ()
 
 let check_residence r =
   match validate_residence r with
   | Ok () -> ()
   | Error e -> invalid_arg ("Mobility residence: " ^ e)
+
+(* Zipf tail tables, one per (s, cutoff): surv.(a) = P(T > a) for
+   a = 0..cutoff-1 from suffix sums (smallest terms first, Neumaier
+   compensated), plus the mean. Built once and shared by every later
+   survival/mean query on that law; tables are immutable, so the
+   registry is a lock-free list of the [zipf_cached] most recent. *)
+type zipf_table = { surv : float array; zmean : float }
+
+let zipf_cached = 8
+let zipf_tables : ((float * int) * zipf_table) list Atomic.t = Atomic.make []
+
+let build_zipf_table s cutoff =
+  let surv = Array.make cutoff 0.0 in
+  let tail = Numeric.Kahan.create () and weighted = Numeric.Kahan.create () in
+  for k = cutoff downto 1 do
+    let w = float_of_int k ** -.s in
+    Numeric.Kahan.add tail w;
+    Numeric.Kahan.add weighted (float_of_int k *. w);
+    surv.(k - 1) <- Numeric.Kahan.total tail
+  done;
+  let total = surv.(0) in
+  Array.iteri (fun a t -> surv.(a) <- t /. total) surv;
+  { surv; zmean = Numeric.Kahan.total weighted /. total }
+
+let zipf_table s cutoff =
+  match List.assoc_opt (s, cutoff) (Atomic.get zipf_tables) with
+  | Some t -> t
+  | None ->
+    let t = build_zipf_table s cutoff in
+    let rec publish () =
+      let cur = Atomic.get zipf_tables in
+      let kept = List.filteri (fun i _ -> i < zipf_cached - 1) cur in
+      if not (Atomic.compare_and_set zipf_tables cur (((s, cutoff), t) :: kept))
+      then publish ()
+    in
+    publish ();
+    t
 
 (* Survival S(a) = P(dwell > a ticks); dwell is at least one tick, so
    S(0) = 1 for every law. *)
@@ -186,17 +228,7 @@ let residence_survival r a =
       (* Discrete Lomax tail: polynomial decay, heavy for small alpha. *)
       (1.0 +. (float_of_int a /. scale)) ** -.alpha
     | Zipf { s; cutoff } ->
-      if a >= cutoff then 0.0
-      else begin
-        (* P(T = k) ∝ k^-s over 1..cutoff. *)
-        let total = ref 0.0 and tail = ref 0.0 in
-        for k = 1 to cutoff do
-          let w = float_of_int k ** -.s in
-          total := !total +. w;
-          if k > a then tail := !tail +. w
-        done;
-        !tail /. !total
-      end
+      if a >= cutoff then 0.0 else (zipf_table s cutoff).surv.(a)
 
 (* Hazard h(a) = P(leave at age a | survived to a) = 1 - S(a+1)/S(a). *)
 let residence_hazard r a =
@@ -207,50 +239,71 @@ let residence_hazard r a =
     Float.min 1.0 (Float.max 0.0 h)
   end
 
+(* Pareto mean Σ_{a≥0} f(a), f(x) = (1 + x/scale)^-α, α > 1: the first
+   N terms summed with Neumaier compensation, the tail Σ_{a≥N} f(a)
+   closed by Euler–Maclaurin to the f‴ term,
+     ∫_N^∞ f + f(N)/2 − f′(N)/12 + f‴(N)/720,
+   with ∫_N^∞ f = scale/(α−1)·u^(1−α), u = 1 + N/scale, and the
+   derivatives written over scale + N = scale·u so no power of scale
+   alone can overflow. f is completely monotone, so the remainder is
+   below the first omitted term |f⁽⁵⁾(N)|/30240
+   = α(α+1)(α+2)(α+3)(α+4)/30240 · f(N)/(scale+N)⁵, at most
+   α(α+1)(α+2)(α+3)(α+4)/30240 · N⁻⁵ for every scale. *)
+let pareto_head = 1000
+
+let pareto_mean ~alpha ~scale =
+  let f x = (1.0 +. (x /. scale)) ** -.alpha in
+  let acc = Numeric.Kahan.create () in
+  for a = 0 to pareto_head - 1 do
+    Numeric.Kahan.add acc (f (float_of_int a))
+  done;
+  let n = float_of_int pareto_head in
+  let fn = f n and sn = scale +. n in
+  let u = 1.0 +. (n /. scale) in
+  Numeric.Kahan.add acc (scale /. (alpha -. 1.0) *. (u ** (1.0 -. alpha)));
+  Numeric.Kahan.add acc (fn /. 2.0);
+  Numeric.Kahan.add acc (alpha *. fn /. (12.0 *. sn));
+  Numeric.Kahan.add acc
+    (-.(alpha *. (alpha +. 1.0) *. (alpha +. 2.0) *. fn
+        /. (720.0 *. sn *. sn *. sn)));
+  Numeric.Kahan.total acc
+
 (* Mean dwell = Σ_{a≥0} S(a); diverges (→ infinity) for Pareto with
-   alpha <= 1. The sum is truncated once the tail is negligible. *)
+   alpha <= 1. *)
 let residence_mean r =
   check_residence r;
   match r with
   | Exponential { mean } -> mean
-  | Zipf { s; cutoff } ->
-    let total = ref 0.0 and weighted = ref 0.0 in
-    for k = 1 to cutoff do
-      let w = float_of_int k ** -.s in
-      total := !total +. w;
-      weighted := !weighted +. (float_of_int k *. w)
-    done;
-    !weighted /. !total
-  | Pareto { alpha; _ } ->
-    if alpha <= 1.0 then infinity
-    else begin
-      let sum = ref 0.0 in
-      let a = ref 0 in
-      let continue = ref true in
-      while !continue && !a < 10_000_000 do
-        let s = residence_survival r !a in
-        sum := !sum +. s;
-        if s < 1e-12 then continue := false;
-        incr a
-      done;
-      !sum
-    end
+  | Zipf { s; cutoff } -> (zipf_table s cutoff).zmean
+  | Pareto { alpha; scale } ->
+    if alpha <= 1.0 then infinity else pareto_mean ~alpha ~scale
 
-(* Bisection on the scale parameter: residence_mean is continuous and
+(* Bisection on the scale parameter: the mean is continuous and
    strictly increasing in the scale, so a heavy-tailed law can be
    matched to an exponential one's mean for like-for-like variance
-   comparisons. *)
+   comparisons. The mean tends to 1 as the scale tends to 0, so 0
+   brackets every target >= 1 from below; the upper end doubles up to
+   [pareto_scale_cap], and a target beyond the mean there has no
+   bracket and is rejected rather than silently missed. *)
+let pareto_scale_cap = 1e9
+
 let pareto_with_mean ~alpha ~mean =
   if not (Float.is_finite alpha && alpha > 1.0) then
     invalid_arg "Mobility.pareto_with_mean: alpha must be > 1 (finite mean)"
   else if not (Float.is_finite mean && mean >= 1.0) then
     invalid_arg "Mobility.pareto_with_mean: mean must be finite and >= 1"
   else begin
-    let mean_at scale = residence_mean (Pareto { alpha; scale }) in
-    let lo = ref 1e-6 and hi = ref 1.0 in
-    while mean_at !hi < mean && !hi < 1e9 do
+    let mean_at scale = pareto_mean ~alpha ~scale in
+    let lo = ref 0.0 and hi = ref 1.0 in
+    while mean_at !hi < mean && !hi < pareto_scale_cap do
       hi := !hi *. 2.0
     done;
+    if mean_at !hi < mean then
+      invalid_arg
+        (Printf.sprintf
+           "Mobility.pareto_with_mean: mean %g is out of reach for alpha %g \
+            (scale would exceed %g)"
+           mean alpha pareto_scale_cap);
     for _ = 1 to 80 do
       let mid = 0.5 *. (!lo +. !hi) in
       if mean_at mid < mean then lo := mid else hi := mid

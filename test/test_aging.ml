@@ -70,16 +70,118 @@ let test_residence_survival_hazard () =
   let z = M.Zipf { s = 1.0; cutoff = 5 } in
   check (float_t 1e-12) "zipf exhausts at cutoff" 1.0 (M.residence_hazard z 5)
 
+(* Independent bracket on the Pareto mean Σ_{a≥0} f(a),
+   f(x) = (1 + x/scale)^-alpha: a compensated partial sum of the first
+   n = 10⁶ terms plus integral bounds on the decreasing remainder,
+   ∫_n^∞ f ≤ Σ_{a≥n} f(a) ≤ ∫_n^∞ f + f(n). The ends are widened by
+   1e-13 relative for the rounding of a million-term sum. *)
+let pareto_mean_bracket ~alpha ~scale =
+  let f x = (1.0 +. (x /. scale)) ** -.alpha in
+  let n = 1_000_000 in
+  let acc = Numeric.Kahan.create () in
+  for a = 0 to n - 1 do
+    Numeric.Kahan.add acc (f (float_of_int a))
+  done;
+  let n = float_of_int n in
+  let integral =
+    scale /. (alpha -. 1.0) *. ((1.0 +. (n /. scale)) ** (1.0 -. alpha))
+  in
+  let lo = Numeric.Kahan.total acc +. integral in
+  let hi = lo +. f n in
+  lo *. (1.0 -. 1e-13), hi *. (1.0 +. 1e-13)
+
+let test_pareto_mean_bracketed () =
+  List.iter
+    (fun alpha ->
+      List.iter
+        (fun scale ->
+          let lo, hi = pareto_mean_bracket ~alpha ~scale in
+          let m = M.residence_mean (M.Pareto { alpha; scale }) in
+          if not (lo <= m && m <= hi) then
+            Alcotest.failf "alpha %g scale %g: mean %.17g outside [%.17g, %.17g]"
+              alpha scale m lo hi)
+        [ 0.5; 3.0; 20.0 ])
+    [ 1.01; 1.1; 1.6; 2.5 ];
+  check (float_t 0.0) "alpha <= 1 diverges" infinity
+    (M.residence_mean (M.Pareto { alpha = 1.0; scale = 3.0 }))
+
 let test_pareto_with_mean () =
   List.iter
-    (fun mean ->
-      let law = M.pareto_with_mean ~alpha:1.6 ~mean in
-      check (float_t 1e-6) "mean matched" mean (M.residence_mean law))
-    [ 2.0; 6.0; 12.0 ];
+    (fun (alpha, mean) ->
+      match M.pareto_with_mean ~alpha ~mean with
+      | M.Pareto { alpha = alpha'; scale } ->
+        check (float_t 0.0) "alpha kept" alpha alpha';
+        let lo, hi = pareto_mean_bracket ~alpha ~scale in
+        let tol = 1e-9 *. mean in
+        if not (lo -. tol <= mean && mean <= hi +. tol) then
+          Alcotest.failf
+            "alpha %g target %g: scale %.17g has mean in [%.17g, %.17g]"
+            alpha mean scale lo hi
+      | _ -> Alcotest.fail "not a Pareto law")
+    [ 1.6, 1.0; 1.6, 2.0; 1.6, 6.0; 1.6, 12.0; 2.5, 6.0; 1.01, 1.0 ];
   check bool_t "alpha <= 1 rejected" true
     (raises_invalid (fun () -> M.pareto_with_mean ~alpha:1.0 ~mean:6.0));
   check bool_t "mean < 1 rejected" true
-    (raises_invalid (fun () -> M.pareto_with_mean ~alpha:1.6 ~mean:0.5))
+    (raises_invalid (fun () -> M.pareto_with_mean ~alpha:1.6 ~mean:0.5));
+  (* A target above the mean at the 1e9 scale cap has no bracket: it
+     must raise, not return the capped law with a far smaller mean. *)
+  List.iter
+    (fun alpha ->
+      check bool_t
+        (Printf.sprintf "unbracketed target rejected (alpha %g)" alpha)
+        true
+        (raises_invalid (fun () -> M.pareto_with_mean ~alpha ~mean:1e10)))
+    [ 1.6; 3.0 ]
+
+(* The Zipf tail tables against the direct O(cutoff) sums, on more laws
+   than the table registry keeps, so evicted laws are rebuilt. *)
+let test_zipf_tables () =
+  let rel_close what expected got =
+    if abs_float (got -. expected) > 1e-12 *. abs_float expected then
+      Alcotest.failf "%s: expected %.17g, got %.17g" what expected got
+  in
+  let direct_survival s cutoff a =
+    if a >= cutoff then 0.0
+    else begin
+      let total = ref 0.0 and tail = ref 0.0 in
+      for k = 1 to cutoff do
+        let w = float_of_int k ** -.s in
+        total := !total +. w;
+        if k > a then tail := !tail +. w
+      done;
+      !tail /. !total
+    end
+  in
+  let direct_mean s cutoff =
+    let total = ref 0.0 and weighted = ref 0.0 in
+    for k = 1 to cutoff do
+      let w = float_of_int k ** -.s in
+      total := !total +. w;
+      weighted := !weighted +. (float_of_int k *. w)
+    done;
+    !weighted /. !total
+  in
+  for _pass = 1 to 2 do
+    List.iter
+      (fun s ->
+        List.iter
+          (fun cutoff ->
+            let law = M.Zipf { s; cutoff } in
+            let name what = Printf.sprintf "zipf:%g:%d %s" s cutoff what in
+            rel_close (name "mean") (direct_mean s cutoff)
+              (M.residence_mean law);
+            List.iter
+              (fun a ->
+                rel_close
+                  (name (Printf.sprintf "S(%d)" a))
+                  (direct_survival s cutoff a)
+                  (M.residence_survival law a))
+              [ 0; 1; 2; cutoff / 2; cutoff - 1; cutoff; cutoff + 3 ])
+          [ 1; 5; 20; 1000 ])
+      [ 0.0; 1.0; 1.2; 2.5 ]
+  done;
+  check (float_t 0.0) "cutoff 1 is a point mass" 1.0
+    (M.residence_mean (M.Zipf { s = 1.7; cutoff = 1 }))
 
 let test_residence_strings () =
   List.iter
@@ -110,6 +212,7 @@ let test_validate_residence () =
       M.Pareto { alpha = 1.6; scale = 0.0 };
       M.Zipf { s = -0.1; cutoff = 5 };
       M.Zipf { s = 1.0; cutoff = 0 };
+      M.Zipf { s = 1.0; cutoff = (1 lsl 20) + 1 };
     ]
 
 (* -------------------- walk-row regressions -------------------- *)
@@ -467,8 +570,11 @@ let () =
         [
           Alcotest.test_case "survival/hazard shapes" `Quick
             test_residence_survival_hazard;
+          Alcotest.test_case "pareto mean in bracket" `Quick
+            test_pareto_mean_bracketed;
           Alcotest.test_case "pareto mean matching" `Quick
             test_pareto_with_mean;
+          Alcotest.test_case "zipf tail tables" `Quick test_zipf_tables;
           Alcotest.test_case "string round-trip" `Quick test_residence_strings;
           Alcotest.test_case "validation" `Quick test_validate_residence;
         ] );
