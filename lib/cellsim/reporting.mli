@@ -68,8 +68,8 @@ val snapshot : state -> state
     not fired. Note that a lost [Area] report breaks the containment
     invariant — the terminal is in a new area the network doesn't know
     about — which is precisely the staleness the fault layer injects;
-    the fault-aware paging loop tolerates devices outside their
-    uncertainty set. *)
+    with a fault model, the paging loop counts devices outside their
+    uncertainty set as residual misses. *)
 val rollback : state -> snapshot:state -> moved:bool -> unit
 
 (** [validate policy] — parameter sanity ([k ≥ 1]). *)

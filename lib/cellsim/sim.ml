@@ -252,20 +252,6 @@ type scheme_acc = {
   mutable s_pages_blocked : int;
 }
 
-(* Ground-truth rounds used by a strategy on one outcome. *)
-let rounds_on_outcome strategy ~positions =
-  let groups = Strategy.groups strategy in
-  let where = Hashtbl.create 32 in
-  Array.iteri
-    (fun r g -> Array.iter (fun cell -> Hashtbl.replace where cell r) g)
-    groups;
-  let last =
-    Array.fold_left
-      (fun acc p -> Stdlib.max acc (Hashtbl.find where p))
-      0 positions
-  in
-  last + 1
-
 (* End-of-run counters (DESIGN §9): derived from the result record, so
    for a fixed seed they are independent of how the run was scheduled —
    that is what makes the domains-1-vs-4 counter-equality contract hold
@@ -321,12 +307,11 @@ let run config =
        are enabled) keeps the mobility and traffic streams identical
        across clean and faulty runs of the same seed. *)
     let rng_faults = Prob.Rng.split rng in
-    let faults_on = config.faults <> None in
     let fmodel =
       match config.faults with None -> Faults.none | Some f -> f
     in
     let report_faults =
-      faults_on && (fmodel.Faults.report_loss > 0.0 || fmodel.Faults.report_delay > 0.0)
+      fmodel.Faults.report_loss > 0.0 || fmodel.Faults.report_delay > 0.0
     in
     let outage = Faults.Outage.create ~cells in
     let reports_lost = ref 0 and reports_delayed = ref 0 in
@@ -458,7 +443,7 @@ let run config =
     in
     let handle_tick now =
       maybe_freeze now;
-      if faults_on && fmodel.Faults.outage_rate > 0.0 then
+      if fmodel.Faults.outage_rate > 0.0 then
         Faults.Outage.step outage fmodel rng_faults;
       let mobility = mobility_at now in
       let drive_semi =
@@ -744,170 +729,137 @@ let run config =
           in
           inst, strategy
         in
-        if not faults_on then begin
-          (* Clean path: identical to the fault-free simulator. *)
-          let positions_local =
-            Array.map
-              (fun u ->
-                match Hashtbl.find_opt universe_tbl position.(u) with
-                | Some k -> k
-                | None ->
-                  (* Disk-based policies assume at most one cell per tick;
-                     teleporting mobility models break that. *)
-                  invalid_arg
-                    "Sim.run: user outside its uncertainty set (mobility \
-                     jumps farther than the reporting policy allows)")
-              group
-          in
-          List.iter
-            (fun acc ->
-              let inst, strategy = plan acc in
-              let cost =
-                Strategy.cost_on_outcome strategy ~m:(Array.length group)
-                  ~positions:positions_local
-              in
-              acc.s_calls <- acc.s_calls + 1;
-              acc.s_devices <- acc.s_devices + Array.length group;
-              acc.s_cells <- acc.s_cells + cost;
-              acc.s_expected <-
-                acc.s_expected +. Strategy.expected_paging inst strategy;
-              let rounds_used =
-                rounds_on_outcome strategy ~positions:positions_local
-              in
-              acc.s_rounds <- acc.s_rounds + rounds_used;
-              if Obs.on () then begin
-                Obs.observe ~buckets:Obs.small_count_buckets
-                  "sim_rounds_to_find" (float_of_int rounds_used);
-                let groups = Strategy.groups strategy in
-                for k = 0 to rounds_used - 1 do
-                  Obs.observe ~buckets:Obs.small_count_buckets
-                    "sim_paged_cells_per_round"
-                    (float_of_int (Array.length groups.(k)))
-                done
-              end;
-              Prob.Stats.Acc.add acc.s_stats (float_of_int cost))
-            accs
-        end
-        else begin
-          (* Fault-aware path: execute the strategy round by round
-             against ground truth, sampling page loss, outage blocking
-             and imperfect detection, then apply the retry policy. Every
-             scheme replays the same per-call fault stream so their
-             numbers stay directly comparable. *)
-          let call_frng = Prob.Rng.split rng_faults in
-          let positions_true = Array.map (fun u -> position.(u)) group in
-          let m_group = Array.length group in
-          List.iter
-            (fun acc ->
-              let frng = Prob.Rng.copy call_frng in
-              let inst, strategy = plan acc in
-              let groups = Strategy.groups strategy in
-              let n_base = Array.length groups in
-              let found = Array.make m_group false in
-              let n_found = ref 0 in
-              let cells_paged = ref 0 in
-              let rounds = ref 0 in
-              let round_of_local g = Array.map (fun k -> universe.(k)) g in
-              let page_cells round_cells =
-                incr rounds;
-                let paged_before = !cells_paged in
-                let effective = ref [] in
-                Array.iter
-                  (fun cell ->
+        (* Without a fault model no report can be lost, so a participant
+           outside the union of uncertainty sets means the mobility model
+           moves farther than the reporting policy allows (disk-based
+           policies assume at most one cell per tick). *)
+        if config.faults = None then
+          Array.iter
+            (fun u ->
+              if not (Hashtbl.mem universe_tbl position.(u)) then
+                invalid_arg
+                  "Sim.run: user outside its uncertainty set (mobility \
+                   jumps farther than the reporting policy allows)")
+            group;
+        (* Execute the strategy round by round against ground truth,
+           sampling page loss, outage blocking and imperfect detection,
+           then apply the retry policy; under [Faults.none] nothing
+           fires and each round finds exactly the participants in it.
+           Every scheme replays the same per-call fault stream so their
+           numbers stay directly comparable. *)
+        let call_frng = Prob.Rng.split rng_faults in
+        let positions_true = Array.map (fun u -> position.(u)) group in
+        let m_group = Array.length group in
+        List.iter
+          (fun acc ->
+            let frng = Prob.Rng.copy call_frng in
+            let inst, strategy = plan acc in
+            let groups = Strategy.groups strategy in
+            let n_base = Array.length groups in
+            let found = Array.make m_group false in
+            let n_found = ref 0 in
+            let cells_paged = ref 0 in
+            let rounds = ref 0 in
+            let round_of_local g = Array.map (fun k -> universe.(k)) g in
+            let page_cells round_cells =
+              incr rounds;
+              let paged_before = !cells_paged in
+              let effective = ref [] in
+              Array.iter
+                (fun cell ->
+                  if
+                    fmodel.Faults.outage_rate > 0.0
+                    && Faults.Outage.down outage cell
+                  then
+                    (* The MSC knows the base station is down: the page
+                       is never transmitted (no cost), but the
+                       coverage hole persists. *)
+                    acc.s_pages_blocked <- acc.s_pages_blocked + 1
+                  else begin
+                    incr cells_paged;
                     if
-                      fmodel.Faults.outage_rate > 0.0
-                      && Faults.Outage.down outage cell
-                    then
-                      (* The MSC knows the base station is down: the page
-                         is never transmitted (no cost), but the
-                         coverage hole persists. *)
-                      acc.s_pages_blocked <- acc.s_pages_blocked + 1
+                      fmodel.Faults.page_loss > 0.0
+                      && Prob.Rng.unit_float frng < fmodel.Faults.page_loss
+                    then acc.s_pages_lost <- acc.s_pages_lost + 1
                     else begin
-                      incr cells_paged;
-                      if
-                        fmodel.Faults.page_loss > 0.0
-                        && Prob.Rng.unit_float frng < fmodel.Faults.page_loss
-                      then acc.s_pages_lost <- acc.s_pages_lost + 1
-                      else begin
-                        paged_mask.(cell) <- true;
-                        effective := cell :: !effective
-                      end
-                    end)
-                  round_cells;
-                (if fmodel.Faults.detect_q >= 1.0 then
-                   Array.iteri
-                     (fun i pos ->
-                       if (not found.(i)) && paged_mask.(pos) then begin
-                         found.(i) <- true;
-                         incr n_found
-                       end)
-                     positions_true
-                 else
-                   n_found :=
-                     !n_found
-                     + Miss.page_round frng ~q:fmodel.Faults.detect_q
-                         ~in_group:(fun cell -> paged_mask.(cell))
-                         ~positions:positions_true ~found);
-                List.iter (fun cell -> paged_mask.(cell) <- false) !effective;
-                if Obs.on () then
-                  Obs.observe ~buckets:Obs.small_count_buckets
-                    "sim_paged_cells_per_round"
-                    (float_of_int (!cells_paged - paged_before))
-              in
-              let r = ref 0 in
-              while !n_found < m_group && !r < n_base do
-                page_cells (round_of_local groups.(!r));
-                incr r
-              done;
-              let base_cells = !cells_paged and base_rounds = !rounds in
-              let repeat_cycles cycles ~backoff =
-                if cycles > 0 && !n_found < m_group then begin
-                  let sched = Miss.repeat_strategy strategy ~cycles in
-                  let i = ref 0 in
-                  while !n_found < m_group && !i < Array.length sched do
-                    if !i mod n_base = 0 then begin
-                      acc.s_retries <- acc.s_retries + 1;
-                      rounds := !rounds + backoff
-                    end;
-                    page_cells (round_of_local sched.(!i));
-                    incr i
-                  done
-                end
-              in
-              (match fmodel.Faults.retry with
-               | Faults.No_retry -> ()
-               | Faults.Repeat { cycles; backoff } ->
-                 repeat_cycles cycles ~backoff;
-                 acc.s_retry_cells <-
-                   acc.s_retry_cells + (!cells_paged - base_cells);
-                 acc.s_retry_rounds <-
-                   acc.s_retry_rounds + (!rounds - base_rounds)
-               | Faults.Escalate { after; to_blanket } ->
-                 repeat_cycles after ~backoff:0;
-                 acc.s_retry_cells <-
-                   acc.s_retry_cells + (!cells_paged - base_cells);
-                 acc.s_retry_rounds <-
-                   acc.s_retry_rounds + (!rounds - base_rounds);
-                 if !n_found < m_group then begin
-                   acc.s_escalations <- acc.s_escalations + 1;
-                   let before = !cells_paged in
-                   page_cells (if to_blanket then all_cells else universe);
-                   acc.s_escalate_cells <-
-                     acc.s_escalate_cells + (!cells_paged - before)
-                 end);
+                      paged_mask.(cell) <- true;
+                      effective := cell :: !effective
+                    end
+                  end)
+                round_cells;
+              (if fmodel.Faults.detect_q >= 1.0 then
+                 Array.iteri
+                   (fun i pos ->
+                     if (not found.(i)) && paged_mask.(pos) then begin
+                       found.(i) <- true;
+                       incr n_found
+                     end)
+                   positions_true
+               else
+                 n_found :=
+                   !n_found
+                   + Miss.page_round frng ~q:fmodel.Faults.detect_q
+                       ~in_group:(fun cell -> paged_mask.(cell))
+                       ~positions:positions_true ~found);
+              List.iter (fun cell -> paged_mask.(cell) <- false) !effective;
               if Obs.on () then
                 Obs.observe ~buckets:Obs.small_count_buckets
-                  "sim_rounds_to_find" (float_of_int !rounds);
-              acc.s_residual <- acc.s_residual + (m_group - !n_found);
-              acc.s_calls <- acc.s_calls + 1;
-              acc.s_devices <- acc.s_devices + m_group;
-              acc.s_cells <- acc.s_cells + !cells_paged;
-              acc.s_expected <-
-                acc.s_expected +. Strategy.expected_paging inst strategy;
-              acc.s_rounds <- acc.s_rounds + !rounds;
-              Prob.Stats.Acc.add acc.s_stats (float_of_int !cells_paged))
-            accs
-        end;
+                  "sim_paged_cells_per_round"
+                  (float_of_int (!cells_paged - paged_before))
+            in
+            let r = ref 0 in
+            while !n_found < m_group && !r < n_base do
+              page_cells (round_of_local groups.(!r));
+              incr r
+            done;
+            let base_cells = !cells_paged and base_rounds = !rounds in
+            let repeat_cycles cycles ~backoff =
+              if cycles > 0 && !n_found < m_group then begin
+                let sched = Miss.repeat_strategy strategy ~cycles in
+                let i = ref 0 in
+                while !n_found < m_group && !i < Array.length sched do
+                  if !i mod n_base = 0 then begin
+                    acc.s_retries <- acc.s_retries + 1;
+                    rounds := !rounds + backoff
+                  end;
+                  page_cells (round_of_local sched.(!i));
+                  incr i
+                done
+              end
+            in
+            (match fmodel.Faults.retry with
+             | Faults.No_retry -> ()
+             | Faults.Repeat { cycles; backoff } ->
+               repeat_cycles cycles ~backoff;
+               acc.s_retry_cells <-
+                 acc.s_retry_cells + (!cells_paged - base_cells);
+               acc.s_retry_rounds <-
+                 acc.s_retry_rounds + (!rounds - base_rounds)
+             | Faults.Escalate { after; to_blanket } ->
+               repeat_cycles after ~backoff:0;
+               acc.s_retry_cells <-
+                 acc.s_retry_cells + (!cells_paged - base_cells);
+               acc.s_retry_rounds <-
+                 acc.s_retry_rounds + (!rounds - base_rounds);
+               if !n_found < m_group then begin
+                 acc.s_escalations <- acc.s_escalations + 1;
+                 let before = !cells_paged in
+                 page_cells (if to_blanket then all_cells else universe);
+                 acc.s_escalate_cells <-
+                   acc.s_escalate_cells + (!cells_paged - before)
+               end);
+            if Obs.on () then
+              Obs.observe ~buckets:Obs.small_count_buckets
+                "sim_rounds_to_find" (float_of_int !rounds);
+            acc.s_residual <- acc.s_residual + (m_group - !n_found);
+            acc.s_calls <- acc.s_calls + 1;
+            acc.s_devices <- acc.s_devices + m_group;
+            acc.s_cells <- acc.s_cells + !cells_paged;
+            acc.s_expected <-
+              acc.s_expected +. Strategy.expected_paging inst strategy;
+            acc.s_rounds <- acc.s_rounds + !rounds;
+            Prob.Stats.Acc.add acc.s_stats (float_of_int !cells_paged))
+          accs;
         (* The reference network establishes the call, whatever each
            measured scheme achieved: all schemes observe identical
            histories, keeping their costs directly comparable. *)

@@ -170,11 +170,15 @@ type config = {
           as opaque as idle ones — the ablation switch for E17 *)
   faults : Faults.t option;
       (** fault-injection model; [None] is the perfectly reliable
-          simulator. Note that with faults enabled a device may fall
-          outside the computed uncertainty universe (a lost report made
-          the network's view stale); the paging loop then counts it as a
-          residual miss instead of raising, and only an
-          [Escalate ~to_blanket:true] retry can still recover it. *)
+          simulator: every call pages through the same round-by-round
+          executor under {!Faults.none}. Note that with faults enabled a
+          device may fall outside the computed uncertainty universe (a
+          lost report made the network's view stale); the paging loop
+          then counts it as a residual miss, and only an
+          [Escalate ~to_blanket:true] retry can still recover it. With
+          [None] no report can be lost, so such a device means the
+          mobility model outruns the reporting policy and {!run}
+          raises. *)
   estimator : estimator;
       (** [Live] pages from the always-fresh profiles; [Snapshot]
           freezes the paging matrix at [warmup] and models a deployed
@@ -197,7 +201,9 @@ val default_config : unit -> config
     @raise Invalid_argument on inconsistent dimensions, non-positive
     user counts, an empty scheme list, an unsorted mobility schedule,
     out-of-range profile decay/smoothing, or bad reporting/fault
-    parameters. *)
+    parameters; and, with [faults = None], when a call participant is
+    outside the union of the uncertainty sets (mobility jumps farther
+    than the reporting policy allows). *)
 val run : config -> result
 
 val scheme_to_string : scheme -> string

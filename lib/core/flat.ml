@@ -34,22 +34,18 @@ type t = {
   mutable order_is_weight : bool;
   mutable weights : FA.t;  (* cell weights, valid iff weights_ok *)
   mutable weights_ok : bool;
-  (* ---- full-resolution prefix success table ---- *)
-  mutable table : FA.t;  (* length c+1, valid iff table_ok *)
-  mutable cum : FA.t;  (* length c+1: cumulative unit cost *)
+  (* ---- prefix success table at block boundaries; block 1 = every cell ---- *)
+  mutable block : int;  (* cells per DP position *)
+  mutable npos : int;  (* DP positions: ceil(c / block) *)
+  mutable table : FA.t;  (* npos+1 success values, valid iff table_ok *)
+  mutable cum : FA.t;  (* npos+1 cumulative cell cost *)
   mutable table_ok : bool;
-  (* ---- coarse (metro) boundary table ---- *)
-  mutable coarse_block : int;
-  mutable nblocks : int;
-  mutable ftab_c : FA.t;  (* nblocks+1 boundary success values *)
-  mutable cum_c : FA.t;  (* nblocks+1 cumulative cell cost *)
-  mutable coarse_ok : bool;
   (* ---- per-device scratch ---- *)
   mutable acc : FA.t;  (* m: Neumaier running sums *)
   mutable comp : FA.t;  (* m: Neumaier compensations *)
   mutable masses : FA.t;  (* m: materialized prefix masses *)
   mutable dp : FA.t;  (* m+1: Poisson-binomial scratch *)
-  (* ---- DP matrices, flattened rows of width c+1 (or nblocks+1) ---- *)
+  (* ---- DP matrices, d+1 flattened rows of width npos+1 ---- *)
   mutable e : FA.t;
   mutable x : int array;
   (* ---- results ---- *)
@@ -85,14 +81,11 @@ let create () =
     order_is_weight = false;
     weights = FA.create 0;
     weights_ok = false;
+    block = 1;
+    npos = 0;
     table = FA.create 0;
     cum = FA.create 0;
     table_ok = false;
-    coarse_block = 0;
-    nblocks = 0;
-    ftab_c = FA.create 0;
-    cum_c = FA.create 0;
-    coarse_ok = false;
     acc = FA.create 0;
     comp = FA.create 0;
     masses = FA.create 0;
@@ -138,14 +131,10 @@ let bind a ~objective inst =
        everything else only needs capacity. *)
     if Array.length a.order <> c then a.order <- Array.make c 0;
     a.weights <- fa_cap a.weights c;
-    a.table <- fa_cap a.table (c + 1);
-    a.cum <- fa_cap a.cum (c + 1);
     a.acc <- fa_cap a.acc m;
     a.comp <- fa_cap a.comp m;
     a.masses <- fa_cap a.masses m;
     a.dp <- fa_cap a.dp (m + 1);
-    a.e <- fa_cap a.e ((d + 1) * (c + 1));
-    a.x <- ia_cap a.x ((d + 1) * (c + 1));
     a.sizes <- ia_cap a.sizes (Stdlib.max 1 d);
     a.ls_round_of <- ia_cap a.ls_round_of c;
     a.ls_counts <- ia_cap a.ls_counts (Stdlib.max 1 d);
@@ -154,13 +143,11 @@ let bind a ~objective inst =
     a.ls_cells <- ia_cap a.ls_cells c;
     a.weights_ok <- false;
     a.order_is_weight <- false;
-    a.table_ok <- false;
-    a.coarse_ok <- false
+    a.table_ok <- false
   end;
   if a.objective <> objective then begin
     a.objective <- objective;
-    a.table_ok <- false;
-    a.coarse_ok <- false
+    a.table_ok <- false
   end
 
 (* Cell weights, accumulated row-major for cache locality. Per cell the
@@ -195,59 +182,25 @@ let compute_weight_order a =
   in
   Array.sort cmp a.order;
   a.order_is_weight <- true;
-  a.table_ok <- false;
-  a.coarse_ok <- false
+  a.table_ok <- false
 
-(* Full-resolution prefix success table: mirror of
+(* Prefix success table at block boundaries: mirror of
    [Order_dp.prefix_success_table] — one continuous Neumaier chain per
-   device over the order, success evaluated after every cell. *)
-let compute_table a =
-  let m = a.m and c = a.c in
-  for i = 0 to m - 1 do
-    FA.set a.acc i 0.0;
-    FA.set a.comp i 0.0;
-    FA.set a.masses i 0.0
-  done;
-  Objective.success_into a.objective ~src:a.masses ~off:0 ~n:m ~dp:a.dp
-    ~dst:a.table ~di:0;
-  for j = 1 to c do
-    let cell = a.order.(j - 1) in
-    for i = 0 to m - 1 do
-      let sum = FA.get a.acc i and cmp = FA.get a.comp i in
-      let p = a.pmat.(i).(cell) in
-      let s = sum +. p in
-      let cmp =
-        if abs_float sum >= abs_float p then cmp +. (sum -. s +. p)
-        else cmp +. (p -. s +. sum)
-      in
-      FA.set a.acc i s;
-      FA.set a.comp i cmp;
-      FA.set a.masses i (s +. cmp)
-    done;
-    Objective.success_into a.objective ~src:a.masses ~off:0 ~n:m ~dp:a.dp
-      ~dst:a.table ~di:j
-  done;
-  (* Unit cumulative cost, as the reference DP computes it. *)
-  FA.set a.cum 0 0.0;
-  for j = 1 to c do
-    FA.set a.cum j (FA.get a.cum (j - 1) +. 1.0)
-  done;
-  a.table_ok <- true
-
-(* Coarse boundary table: the same Neumaier chain, with the success
-   fold evaluated only at block boundaries. Skipped evaluations never
-   touch the per-device chain, so each boundary entry is bit-identical
-   to the corresponding full-table entry — this is what makes the
-   O(m·c) pass a once-per-instance cost instead of a per-solve one. *)
-let compute_coarse a ~block =
-  let m = a.m and c = a.c in
-  let nblocks = (c + block - 1) / block in
-  a.coarse_block <- block;
-  a.nblocks <- nblocks;
-  a.ftab_c <- fa_cap a.ftab_c (nblocks + 1);
-  a.cum_c <- fa_cap a.cum_c (nblocks + 1);
-  a.e <- fa_cap a.e ((a.d + 1) * (Stdlib.max (a.c + 1) (nblocks + 1)));
-  a.x <- ia_cap a.x ((a.d + 1) * (Stdlib.max (a.c + 1) (nblocks + 1)));
+   device over the order — with the success fold evaluated only after
+   every [block]-th cell (and after the last). Skipped evaluations never
+   touch the per-device chain, so each boundary entry is bit-identical to
+   the reference table entry, and block 1 is the full-resolution table.
+   This O(m·c) pass is the once-per-instance cost; the DP matrices are
+   sized here to the positions it leaves. *)
+let compute_table a ~block =
+  let m = a.m and c = a.c and d = a.d in
+  let npos = (c + block - 1) / block in
+  a.block <- block;
+  a.npos <- npos;
+  a.table <- fa_cap a.table (npos + 1);
+  a.cum <- fa_cap a.cum (npos + 1);
+  a.e <- fa_cap a.e ((d + 1) * (npos + 1));
+  a.x <- ia_cap a.x ((d + 1) * (npos + 1));
   let boundary u = Stdlib.min c (u * block) in
   for i = 0 to m - 1 do
     FA.set a.acc i 0.0;
@@ -255,7 +208,7 @@ let compute_coarse a ~block =
     FA.set a.masses i 0.0
   done;
   Objective.success_into a.objective ~src:a.masses ~off:0 ~n:m ~dp:a.dp
-    ~dst:a.ftab_c ~di:0;
+    ~dst:a.table ~di:0;
   let u = ref 1 in
   for j = 1 to c do
     let cell = a.order.(j - 1) in
@@ -270,32 +223,31 @@ let compute_coarse a ~block =
       FA.set a.acc i s;
       FA.set a.comp i cmp
     done;
-    if !u <= nblocks && j = boundary !u then begin
+    if j = boundary !u then begin
       for i = 0 to m - 1 do
         FA.set a.masses i (FA.get a.acc i +. FA.get a.comp i)
       done;
       Objective.success_into a.objective ~src:a.masses ~off:0 ~n:m ~dp:a.dp
-        ~dst:a.ftab_c ~di:!u;
+        ~dst:a.table ~di:!u;
       incr u
     end
   done;
-  FA.set a.cum_c 0 0.0;
-  for v = 1 to nblocks do
-    FA.set a.cum_c v
-      (FA.get a.cum_c (v - 1) +. float_of_int (boundary v - boundary (v - 1)))
+  (* Cell cost per position, accumulated as the reference DP does (unit
+     steps at block 1). *)
+  FA.set a.cum 0 0.0;
+  for v = 1 to npos do
+    FA.set a.cum v
+      (FA.get a.cum (v - 1) +. float_of_int (boundary v - boundary (v - 1)))
   done;
-  a.coarse_ok <- true
-
-let prepare ?(objective = Objective.Find_all) a inst =
-  bind a ~objective inst;
-  if not a.order_is_weight then compute_weight_order a;
-  if not a.table_ok then compute_table a
+  a.table_ok <- true
 
 let prepare_coarse ?(objective = Objective.Find_all) ?(block = 16) a inst =
   if block < 1 then invalid_arg "Order_dp.solve_coarse: block must be >= 1";
   bind a ~objective inst;
   if not a.order_is_weight then compute_weight_order a;
-  if not (a.coarse_ok && a.coarse_block = block) then compute_coarse a ~block
+  if not (a.table_ok && a.block = block) then compute_table a ~block
+
+let prepare ?objective a inst = prepare_coarse ?objective ~block:1 a inst
 
 let prepare_order ?(objective = Objective.Find_all) a inst ~order =
   bind a ~objective inst;
@@ -309,7 +261,7 @@ let prepare_order ?(objective = Objective.Find_all) a inst ~order =
     let rec eq j = j >= c || (a.order.(j) = order.(j) && eq (j + 1)) in
     eq 0
   in
-  if not (same && a.table_ok) then begin
+  if not (same && a.table_ok && a.block = 1) then begin
     let seen = Array.make c false in
     Array.iter
       (fun j ->
@@ -319,20 +271,22 @@ let prepare_order ?(objective = Objective.Find_all) a inst ~order =
       order;
     Array.blit order 0 a.order 0 c;
     a.order_is_weight <- false;
-    a.table_ok <- false;
-    a.coarse_ok <- false;
-    compute_table a
+    compute_table a ~block:1
   end
 
 (* ------------------------------------------------------------------ *)
 (* The Fig. 1 DP, mirrored from [Order_dp.solve_with_prefix_success]
-   onto the arena's flat matrices. [n] is the number of DP positions
-   (cells, or blocks on the coarse path), [dd] the round budget, [b]
-   the per-group cap, [ftab]/[cumtab] the prefix-success and
-   cumulative-cost tables. Writes group sizes (in positions) into
-   [a.sizes], the optimum into [a.out.(0)]. *)
+   onto the arena's flat matrices, over the positions of the prepared
+   table (cells at block 1, blocks of cells otherwise) with [a.d] rounds
+   and at most [b] positions per group. Writes the group sizes, in
+   cells, into [a.sizes] and the optimum into [a.out.(0)].
 
-let run_dp_core a ~n ~dd ~b ~ftab ~cumtab ~cancel =
+   Internal cores take [cancel] as a required argument: an optional
+   ~cancel:Cancel.never at a call site allocates [Some never] (the token
+   is a mutable record, so the option cell cannot be statically
+   allocated), which would break the zero-allocation guarantee. *)
+let dp_core a cancel b =
+  let n = a.npos and dd = a.d and ftab = a.table and cumtab = a.cum in
   if b < 1 then invalid_arg "Order_dp: max_group must be >= 1";
   if n > b * dd then invalid_arg "Order_dp: bandwidth constraint infeasible";
   let width = n + 1 in
@@ -373,50 +327,39 @@ let run_dp_core a ~n ~dd ~b ~ftab ~cumtab ~cancel =
   let rounds = Stdlib.min dd n in
   if FA.get e ((rounds * width) + n) = infinity then
     invalid_arg "Order_dp: no feasible strategy";
+  (* Trace back group by group from the first, turning each group's
+     positions [lo, lo + v) into its cell count. *)
+  let block = a.block and c = a.c in
   let k = ref n in
   for l = rounds downto 1 do
     let v = x.((l * width) + !k) in
-    a.sizes.(rounds - l) <- v;
+    let lo = n - !k in
+    a.sizes.(rounds - l) <-
+      Stdlib.min c ((lo + v) * block) - Stdlib.min c (lo * block);
     k := !k - v
   done;
   a.nsizes <- rounds;
   FA.set a.out 0 (FA.get e ((rounds * width) + n))
 
-(* Internal cores take [cancel] as a required argument: an optional
-   ~cancel:Cancel.never at a call site allocates [Some never] (the token
-   is a mutable record, so the option cell cannot be statically
-   allocated), which would break the zero-allocation guarantee. *)
-let order_dp_core a cancel b =
-  if not a.table_ok then invalid_arg "Flat.run_order_dp: arena not prepared";
-  run_dp_core a ~n:a.c ~dd:a.d ~b ~ftab:a.table ~cumtab:a.cum ~cancel
+(* What each core needs of the prepared table: the order DP a
+   full-resolution table over any order, greedy and the hill climb one
+   over the weight order, the coarse DP the weight order at any block. *)
+let full_table a = a.table_ok && a.block = 1
 
 let run_order_dp ?(cancel = Cancel.never) ?max_group a =
-  order_dp_core a cancel (match max_group with None -> a.c | Some b -> b)
+  if not (full_table a) then
+    invalid_arg "Flat.run_order_dp: arena not prepared";
+  dp_core a cancel (match max_group with None -> a.c | Some b -> b)
 
-let greedy_core a cancel =
-  if not a.order_is_weight then
+let run_greedy ?(cancel = Cancel.never) a =
+  if not (full_table a && a.order_is_weight) then
     invalid_arg "Flat.run_greedy: arena not prepared with the weight order";
-  order_dp_core a cancel a.c
-
-let run_greedy ?(cancel = Cancel.never) a = greedy_core a cancel
+  dp_core a cancel a.c
 
 let run_coarse ?(cancel = Cancel.never) a =
-  if not a.coarse_ok then invalid_arg "Flat.run_coarse: arena not prepared";
-  let nblocks = a.nblocks in
-  let dd = Stdlib.min a.d nblocks in
-  run_dp_core a ~n:nblocks ~dd ~b:nblocks ~ftab:a.ftab_c ~cumtab:a.cum_c
-    ~cancel;
-  (* Expand block-level sizes back to cells, in place (positions are
-     consumed left to right, so each slot is read before overwrite). *)
-  let block = a.coarse_block and c = a.c in
-  let pos = ref 0 in
-  for l = 0 to a.nsizes - 1 do
-    let units = a.sizes.(l) in
-    let lo = Stdlib.min c (!pos * block)
-    and hi = Stdlib.min c ((!pos + units) * block) in
-    pos := !pos + units;
-    a.sizes.(l) <- hi - lo
-  done
+  if not (a.table_ok && a.order_is_weight) then
+    invalid_arg "Flat.run_coarse: arena not prepared";
+  dp_core a cancel a.npos
 
 let run_page_all a =
   (match a.bound_inst with
@@ -510,9 +453,11 @@ let ls_relocate a cell target =
   done
 
 let run_hill_climb ?(cancel = Cancel.never) a =
+  if not (full_table a && a.order_is_weight) then
+    invalid_arg "Flat.run_hill_climb: arena not prepared with the weight order";
   (* Seed from the greedy cut, uncancelled — exactly as
      [Local_search.hill_climb] seeds from the DP over the weight order. *)
-  greedy_core a Cancel.never;
+  dp_core a Cancel.never a.c;
   seed_ls a;
   a.iters <- 0;
   ls_ep_into a ~di:0;

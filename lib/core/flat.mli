@@ -33,43 +33,52 @@ val create : unit -> t
     results never alias arena scratch, so sequential reuse is safe. *)
 val domain_arena : unit -> t
 
-(** [prepare ?objective a inst] binds the arena to [inst] (rejecting
+(** [prepare_coarse ?block a inst] binds the arena to [inst] (rejecting
     [m = 0] / [c = 0] with a named error), computes the non-increasing
-    cell-weight order of §4.2.2 and the full prefix success table — the
-    O(m·c) part, cached while the same instance, objective and order
-    stay bound (physical equality on the instance). *)
-val prepare : ?objective:Objective.t -> t -> Instance.t -> unit
-
-(** [prepare_order a inst ~order] is {!prepare} for a caller-supplied
-    cell order (the §5 "any predefined sequence" remark). Raises the
-    same [Invalid_argument] errors as [Order_dp.solve] on a bad order. *)
-val prepare_order :
-  ?objective:Objective.t -> t -> Instance.t -> order:int array -> unit
-
-(** [prepare_coarse ?block a inst] prepares the weight order plus the
-    block-boundary success table for {!run_coarse} (default block 16).
-    The boundary entries are bit-identical to the corresponding full
-    table entries: skipped success evaluations never touch the
-    per-device compensated mass chains. *)
+    cell-weight order of §4.2.2 and the arena's one prefix success
+    table, evaluated at every [block]-th cell of that order (default
+    block 16; [block < 1] is rejected). The table entries are
+    bit-identical to the reference prefix table at those boundaries:
+    skipped success evaluations never touch the per-device compensated
+    mass chains. The O(m·c) pass is cached while the same instance
+    (physical equality), objective, order and block stay bound; preparing
+    another block or order replaces the table. *)
 val prepare_coarse :
   ?objective:Objective.t -> ?block:int -> t -> Instance.t -> unit
 
+(** [prepare ?objective a inst] is [prepare_coarse ~block:1]: the full
+    prefix table over the weight order, which every [run_*] accepts. *)
+val prepare : ?objective:Objective.t -> t -> Instance.t -> unit
+
+(** [prepare_order a inst ~order] builds the full (block 1) table over a
+    caller-supplied cell order (the §5 "any predefined sequence"
+    remark). Raises the same [Invalid_argument] errors as
+    [Order_dp.solve] on a bad order. *)
+val prepare_order :
+  ?objective:Objective.t -> t -> Instance.t -> order:int array -> unit
+
 (** {1 Allocation-free cores}
 
-    Each requires the matching [prepare_*]; results are read back with
-    the accessors below. Zero minor-heap words per call. *)
+    Each raises a named "arena not prepared" [Invalid_argument] unless
+    the prepared table suits it; results are read back with the
+    accessors below. Zero minor-heap words per call. *)
 
 (** The Fig. 1 DP over the prepared order; [max_group] is the §5
-    bandwidth bound. Mirrors [Order_dp.solve] bit for bit. *)
+    bandwidth bound. Mirrors [Order_dp.solve] bit for bit. Requires a
+    block-1 table ({!prepare}, {!prepare_order} or [prepare_coarse
+    ~block:1]). *)
 val run_order_dp : ?cancel:Cancel.t -> ?max_group:int -> t -> unit
 
 (** The §4.2.2 greedy heuristic: the DP over the weight order. Requires
-    {!prepare} (not {!prepare_order}). *)
+    a block-1 table over the weight order ({!prepare}, not
+    {!prepare_order}). *)
 val run_greedy : ?cancel:Cancel.t -> t -> unit
 
-(** The coarse DP over block boundaries, mirror of
-    [Order_dp.solve_coarse]; requires {!prepare_coarse}. Per-solve cost
-    is O(d·(c/block)²) — the metro-scale path. *)
+(** The DP over the prepared block boundaries, mirror of
+    [Order_dp.solve_coarse]; requires a table over the weight order at
+    any block ({!prepare_coarse} or {!prepare}). Per-solve cost is
+    O(d·(c/block)²) — the metro-scale path. At block 1 it is
+    {!run_greedy}. *)
 val run_coarse : ?cancel:Cancel.t -> t -> unit
 
 (** The one-round page-everything strategy; EP = c exactly. *)
@@ -77,7 +86,8 @@ val run_page_all : t -> unit
 
 (** Steepest-descent hill climb seeded from the greedy cut — an
     op-for-op mirror of [Local_search.hill_climb] including its
-    apply/evaluate/revert float drift, hence bit-identical. *)
+    apply/evaluate/revert float drift, hence bit-identical. Requires
+    what {!run_greedy} does. *)
 val run_hill_climb : ?cancel:Cancel.t -> t -> unit
 
 (** {1 Result accessors} *)

@@ -408,6 +408,35 @@ let test_sim_none_faults_identity () =
   in
   check bool_t "identical results" true (clean = wired)
 
+let test_sim_outrun_reporting_raises () =
+  (* Without a fault model no report can be lost, so a participant
+     outside the uncertainty universe can only mean the mobility model
+     jumps farther than the reporting policy allows: Time k assumes one
+     cell per tick, teleport breaks that. With a fault model the same
+     participant is a residual miss instead. *)
+  let base = small_config () in
+  let cells = Cellsim.Hex.cells base.Cellsim.Sim.hex in
+  let config =
+    {
+      base with
+      Cellsim.Sim.mobility =
+        Cellsim.Mobility.teleport base.Cellsim.Sim.mobility ~jump:0.5
+          ~target:(Array.make cells (1.0 /. float_of_int cells));
+      reporting = Cellsim.Reporting.Time 4;
+    }
+  in
+  (match Cellsim.Sim.run config with
+   | _ -> Alcotest.fail "teleporting users passed the uncertainty check"
+   | exception Invalid_argument msg ->
+     check bool_t "names the uncertainty set" true
+       (String.starts_with ~prefix:"Sim.run: user outside its uncertainty set"
+          msg));
+  let r = Cellsim.Sim.run (with_faults (Some Cellsim.Faults.none) config) in
+  check bool_t "counted as residual misses under a fault model" true
+    (List.exists
+       (fun s -> s.Cellsim.Sim.robustness.Cellsim.Sim.residual_misses > 0)
+       r.Cellsim.Sim.per_scheme)
+
 let test_sim_zero_faults_with_retry_identity () =
   (* A retry policy alone changes nothing when no fault can fire: every
      device is found in the base rounds, so no retry cycle runs. *)
@@ -568,6 +597,8 @@ let () =
             test_sim_none_faults_identity;
           Alcotest.test_case "inert retry" `Slow
             test_sim_zero_faults_with_retry_identity;
+          Alcotest.test_case "outrun reporting raises without faults" `Quick
+            test_sim_outrun_reporting_raises;
           Alcotest.test_case "deterministic" `Slow
             test_sim_faulty_run_deterministic;
           Alcotest.test_case "degradation costs pages" `Slow

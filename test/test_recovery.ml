@@ -339,6 +339,34 @@ let test_cache_lru_eviction () =
   check int_t "no extra eviction" 1 (Serve.Cache.evictions c);
   Serve.Cache.close c
 
+(* Dedup's completed table: a replay marks its id most recent, so the
+   least recently replayed id goes first, and an evicted id executes
+   again. *)
+let test_dedup_completed_lru () =
+  let d = Serve.Dedup.create ~max_completed:2 in
+  let run key =
+    check bool_t (key ^ " executes") true
+      (Serve.Dedup.submit d key 0 = `Execute);
+    check bool_t (key ^ " had no waiters") true
+      (Serve.Dedup.complete d key key = [])
+  in
+  run "a";
+  run "b";
+  (* replay a, so b becomes the least recently replayed *)
+  check bool_t "replay a" true (Serve.Dedup.submit d "a" 0 = `Replay "a");
+  run "c";
+  let st = Serve.Dedup.stats d in
+  check int_t "one eviction" 1 st.Serve.Dedup.evictions;
+  check int_t "still at cap" 2 st.Serve.Dedup.completed;
+  check int_t "one replay counted" 1 st.Serve.Dedup.hits_completed;
+  check bool_t "replayed a survives" true
+    (Serve.Dedup.submit d "a" 0 = `Replay "a");
+  check bool_t "newest c survives" true
+    (Serve.Dedup.submit d "c" 0 = `Replay "c");
+  check bool_t "evicted b executes again" true
+    (Serve.Dedup.submit d "b" 0 = `Execute);
+  check int_t "b is in flight" 1 (Serve.Dedup.stats d).Serve.Dedup.in_flight
+
 let test_cache_journal_evict_restore () =
   let path = tmp "cache" in
   Sys.remove path;
@@ -491,6 +519,8 @@ let () =
         [
           Alcotest.test_case "cap and eviction order" `Quick
             test_cache_lru_eviction;
+          Alcotest.test_case "dedup completed LRU" `Quick
+            test_dedup_completed_lru;
           Alcotest.test_case "journal survives evict and restore" `Quick
             test_cache_journal_evict_restore;
           Alcotest.test_case "store failure absorbed" `Quick
